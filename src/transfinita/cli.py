@@ -116,10 +116,13 @@ def _record(line: str, env, ctx, ambient, use_oracle) -> dict:
             "expected": list(d.expected),
         }
     except EvalError as err:
+        line_no, col = err.span or (None, None)
         rec["error"] = {
             "kind": type(err.origin).__name__,
             "operation": err.operation,
             "message": str(err.origin),
+            "line": line_no,
+            "col": col,
         }
     except TransfinitaError as err:
         rec["error"] = {"kind": type(err).__name__, "message": str(err)}

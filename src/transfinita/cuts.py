@@ -10,8 +10,12 @@ though the cut itself is an infinite set.
 Root cuts classify as surrational (an exact n-th root exists, returned as a
 witness) or irrational.  The decision is structural: integer radicands use
 exact integer roots, monomial radicands divide the exponent and take the
-root of the coefficient, and anything else falls back to a bounded trial
-search that may report ``inconclusive`` rather than guess.
+root of the coefficient.  Any other radicand is tested exactly for a finite
+root ``i/j`` with ``i, j`` up to a search bound: ``(i/j)^n == num/den``
+holds only when numerator and denominator have the same exponents and
+proportional coefficients whose ratio, in lowest terms, is a pair of
+perfect n-th powers.  Past the bound, or for any other shape, the answer is
+``inconclusive`` rather than a guess.
 
 The Gaussian extension is the plain pair construction with the textbook
 formulas; over an ordered field they make every nonzero element invertible.
@@ -20,6 +24,7 @@ formulas; over an ordered field they make every nonzero element invertible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, isqrt
 from typing import Optional
 
 from .errors import DivisionByZero, OutOfField, Undefined
@@ -105,15 +110,20 @@ class RootClassification:
 
 
 def _int_nth_root(v: int, n: int) -> int:
-    # floor n-th root for v >= 0
+    # floor n-th root for v >= 0, in integers only: a float root overflows
+    # past 1e308 and lands too far off to correct step by step past ~1e32.
+    # Newton's step falls monotonically from a start above the root and
+    # stops at the floor.
     if v < 2:
         return v
-    r = int(round(v ** (1.0 / n)))
-    while r > 1 and r**n > v:
-        r -= 1
-    while (r + 1) ** n <= v:
-        r += 1
-    return r
+    if n == 2:
+        return isqrt(v)
+    x = 1 << -(-v.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + v // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
 
 
 def _si_nth_root(a: SurInteger, n: int):
@@ -132,39 +142,62 @@ def _si_nth_root(a: SurInteger, n: int):
         return None, True
     if c < 0:
         root_c = -root_c
-    if not e.terms:
+    if not e:
         return SurInteger(root_c), True
     # monomial: every coefficient of the exponent must divide by n, since
     # the n-th power of any value leads with n times its leading exponent
-    if any(k % n for _, k in e.terms):
+    if any(k % n for _, k in e):
         return None, True
-    root_e = _make_ordinal(tuple((x, k // n) for x, k in e.terms))
+    root_e = _make_ordinal(tuple((x, k // n) for x, k in e))
     return _make_si(((root_e, root_c),)), True
 
 
 def classify_root_cut(cut: RootCut, search_bound: int = 24) -> RootClassification:
     """Decide whether the root cut sits at an exact n-th root.
 
-    A returned witness p always satisfies ``p^n == q`` up to value equality;
-    an ``irrational`` verdict comes from the structural leading-term
-    analysis, and ``inconclusive`` means the radicand has a shape the
-    analysis does not cover and the bounded trial search found nothing.
+    A returned witness p always satisfies ``p^n == q`` up to value equality.
+    An ``irrational`` verdict comes from the structural leading-term
+    analysis.  Radicands it does not cover get the exact test of
+    :func:`_finite_root` for a root ``i/j`` with ``i, j <= search_bound``,
+    and ``inconclusive`` means there is no such root.
     """
     q = q_reduce(cut.q)
     rn, dec_n = _si_nth_root(q.num, cut.n)
     rd, dec_d = _si_nth_root(q.den, cut.n)
     if dec_n and dec_d:
-        if rn is not None and rd is not None:
-            witness = SurRational(rn, rd)
-            assert q_eq(_q_pow(witness, cut.n), q)
-            return RootClassification("surrational", witness)
-        return RootClassification("irrational")
-    for i in range(1, search_bound + 1):
-        for j in range(1, search_bound + 1):
-            cand = SurRational(SurInteger(i), SurInteger(j))
-            if q_eq(_q_pow(cand, cut.n), q):
-                return RootClassification("surrational", cand)
-    return RootClassification("inconclusive")
+        if rn is None or rd is None:
+            return RootClassification("irrational")
+        witness = SurRational(rn, rd)
+    else:
+        witness = _finite_root(q, cut.n, search_bound)
+        if witness is None:
+            return RootClassification("inconclusive")
+    assert q_eq(_q_pow(witness, cut.n), q)
+    return RootClassification("surrational", witness)
+
+
+def _finite_root(q: SurRational, n: int, bound: int) -> Optional[SurRational]:
+    """The root ``i/j`` of ``q`` with ``i, j <= bound`` and the least i, or None.
+
+    ``(i/j)^n == num/den`` means ``j^n*num == i^n*den``: both sides scale one
+    side's terms by a positive integer, so num and den share their exponents
+    and their coefficients have one ratio ``a/b`` (positive, as q > 0).  In
+    lowest terms ``a == i0^n`` and ``b == j0^n`` for ``i0/j0`` in lowest
+    terms, and every solution is a multiple ``(k*i0, k*j0)``.
+    """
+    tn, td = q.num.terms, q.den.terms
+    if len(tn) != len(td):
+        return None
+    g = gcd(tn[0][1], td[0][1])
+    a, b = tn[0][1] // g, td[0][1] // g
+    if any(en != ed or cn * b != cd * a for (en, cn), (ed, cd) in zip(tn, td)):
+        return None
+    if max(a, b) > bound**n:
+        return None
+    i, j = _int_nth_root(a, n), _int_nth_root(b, n)
+    if i**n != a or j**n != b:
+        return None
+    return SurRational(SurInteger(i), SurInteger(j))
 
 
 def _q_pow(p: SurRational, n: int) -> SurRational:

@@ -39,7 +39,6 @@ from .ordinal import (
     _guard_pow,
     _make,
     classify,
-    compare,
     depth,
     predecessor,
     rec_add,
@@ -67,8 +66,8 @@ def fundamental_sequence(b: Ordinal, k: int) -> Ordinal:
     """k-th member of the canonical increasing sequence cofinal in limit b."""
     if classify(b) is not OrdinalClass.LIMIT:
         raise Undefined("fundamental sequences exist only for limit ordinals")
-    e, c = b.terms[-1]
-    prefix = b.terms[:-1] + ((e, c - 1),) if c > 1 else b.terms[:-1]
+    e, c = b[-1]
+    prefix = b[:-1] + ((e, c - 1),) if c > 1 else b[:-1]
     return rec_add(_make(prefix), _omega_power_fs(e, k))
 
 
@@ -220,7 +219,7 @@ def _sup_over_limit(gen, ctx: EvalContext) -> Ordinal:
 
 
 def _increasing(vals) -> bool:
-    return all(compare(x, y) < 0 for x, y in zip(vals, vals[1:]))
+    return all(x < y for x, y in zip(vals, vals[1:]))
 
 
 def _limit_of_samples(tail, budget: int = 4) -> Ordinal:
@@ -235,14 +234,14 @@ def _limit_of_samples(tail, budget: int = 4) -> Ordinal:
         raise NotRepresentable("the supremum exceeds the notation boundary")
     x, y, z = tail
     if (
-        len(x.terms) == len(y.terms) == len(z.terms)
-        and x.terms[:-1] == y.terms[:-1] == z.terms[:-1]
+        len(x) == len(y) == len(z)
+        and x[:-1] == y[:-1] == z[:-1]
     ):
-        (ex, cx), (ey, cy), (ez, cz) = x.terms[-1], y.terms[-1], z.terms[-1]
-        prefix = _make(x.terms[:-1])
+        (ex, cx), (ey, cy), (ez, cz) = x[-1], y[-1], z[-1]
+        prefix = _make(x[:-1])
         if ex == ey == ez and cx < cy < cz:
             return rec_add(prefix, _make(((successor(ex), 1),)))
-        if compare(ex, ey) < 0 and compare(ey, ez) < 0:
+        if ex < ey < ez:
             e_lim = _limit_of_samples([ex, ey, ez], budget - 1)
             return rec_add(prefix, _make(((e_lim, 1),)))
     raise Unsupported("no stable shape detected in the supremum sequence")

@@ -40,7 +40,6 @@ from .ordinal import (
     ZERO,
     Ordinal,
     _make,
-    compare,
     rec_mul,
     rec_pow,
 )
@@ -48,33 +47,37 @@ from .ordinal import (
 
 def nat_add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Commutative sum: coefficientwise merge over the union of exponents."""
-    ta, tb = a.terms, b.terms
+    if not a:
+        return b
+    if not b:
+        return a
     out = []
     i = j = 0
-    while i < len(ta) and j < len(tb):
-        c = compare(ta[i][0], tb[j][0])
-        if c > 0:
-            out.append(ta[i])
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        ea, eb = a[i][0], b[j][0]
+        if ea > eb:
+            out.append(a[i])
             i += 1
-        elif c < 0:
-            out.append(tb[j])
+        elif ea < eb:
+            out.append(b[j])
             j += 1
         else:
-            out.append((ta[i][0], ta[i][1] + tb[j][1]))
+            out.append((ea, a[i][1] + b[j][1]))
             i += 1
             j += 1
-    out.extend(ta[i:])
-    out.extend(tb[j:])
-    return _make(tuple(out))
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return _make(out)
 
 
 def nat_mul(a: Ordinal, b: Ordinal) -> Ordinal:
     """Commutative product: distribute fully, adding exponents naturally."""
-    if not a.terms or not b.terms:
+    if not a or not b:
         return ZERO
     bucket: dict = {}
-    for ea, ca in a.terms:
-        for eb, cb in b.terms:
+    for ea, ca in a:
+        for eb, cb in b:
             e = nat_add(ea, eb)
             bucket[e] = bucket.get(e, 0) + ca * cb
     exps = sorted(bucket, reverse=True)
@@ -99,17 +102,17 @@ class ClosureKind(Enum):
 
 def _is_add_closed(a: Ordinal) -> bool:
     # 0, or a single term with coefficient 1 (covers 1 = w^0 and omega)
-    return not a.terms or (len(a.terms) == 1 and a.terms[0][1] == 1)
+    return not a or (len(a) == 1 and a[0][1] == 1)
 
 
 def _is_mul_closed(a: Ordinal) -> bool:
     if a.is_finite:
         return int(a) in (0, 1, 2)
-    if len(a.terms) != 1 or a.terms[0][1] != 1:
+    if len(a) != 1 or a[0][1] != 1:
         return False
-    e = a.terms[0][0]
+    e = a[0][0]
     # exponent must itself be a power of omega (so a = w^(w^z))
-    return bool(e.terms) and _is_add_closed(e)
+    return bool(e) and _is_add_closed(e)
 
 
 def _is_exp_closed(a: Ordinal) -> bool:
@@ -172,7 +175,7 @@ def closure_counterexample(kind: ClosureKind, a: Ordinal, rng, tries: int = 40):
 
     from .ordinal import rec_add
 
-    if not a.terms:
+    if not a:
         return None
     for _ in range(tries):
         b = random_ordinal_below(a, rng)
@@ -185,16 +188,16 @@ def closure_counterexample(kind: ClosureKind, a: Ordinal, rng, tries: int = 40):
             if rec_mul(b, a) != a:
                 return b
         elif kind is ClosureKind.EPSILON_EXP:
-            if compare(b, ONE) <= 0:
+            if b <= ONE:
                 continue
             if rec_pow(b, a) != a:
                 return b
         elif kind is ClosureKind.NAT_ADD:
             c = random_ordinal_below(a, rng)
-            if compare(nat_add(b, c), a) >= 0:
+            if nat_add(b, c) >= a:
                 return (b, c)
         else:  # NAT_MUL
             c = random_ordinal_below(a, rng)
-            if compare(nat_mul(b, c), a) >= 0:
+            if nat_mul(b, c) >= a:
                 return (b, c)
     return None

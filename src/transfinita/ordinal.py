@@ -28,28 +28,28 @@ LT, EQ, GT = -1, 0, 1
 DEFAULT_MAX_DIGITS = 2**64
 
 
-class Ordinal:
+class Ordinal(tuple):
     """Immutable ordinal in iterated Cantor normal form.
 
-    ``terms`` is a tuple of ``(exponent, coefficient)`` pairs with strictly
-    decreasing Ordinal exponents and integer coefficients >= 1.  Values are
-    hashable and totally ordered; all arithmetic lives in module functions
-    because there are two distinct arithmetics (recursive and natural) and
-    operator overloading would have to pick one.
+    The value is its own tuple of ``(exponent, coefficient)`` terms, with
+    strictly decreasing Ordinal exponents and integer coefficients >= 1.
+    Python's tuple order on these nested tuples is exactly the normal-form
+    order, so ``==``, ``hash``, ``<`` and ``sorted`` run natively.  All
+    arithmetic lives in module functions because there are two distinct
+    arithmetics (recursive and natural) and operator overloading would have
+    to pick one; ``+`` and ``*`` therefore raise TypeError instead of
+    concatenating or repeating term tuples.  Slices of an Ordinal are plain
+    tuples, so code that splices terms concatenates slices.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ()
 
-    terms: tuple
-    _hash: object
-
-    def __init__(self, value: int = 0):
+    def __new__(cls, value: int = 0):
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"Ordinal() takes a non-negative int, got {value!r}")
         if value < 0:
             raise Undefined("ordinals are non-negative")
-        self.terms = ((ZERO, value),) if value else ()
-        self._hash = None
+        return tuple.__new__(cls, ((ZERO, value),) if value else ())
 
     @staticmethod
     def from_terms(terms: Iterable[tuple]) -> "Ordinal":
@@ -59,72 +59,54 @@ class Ordinal:
         return o
 
     @property
+    def terms(self) -> tuple:
+        """The normal-form terms: the value itself."""
+        return self
+
+    @property
     def is_finite(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not self.terms[0][0].terms)
+        return not self or (len(self) == 1 and not self[0][0])
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     @property
     def leading_exp(self) -> "Ordinal":
-        if not self.terms:
+        if not self:
             raise Undefined("0 has no leading term")
-        return self.terms[0][0]
+        return self[0][0]
 
     @property
     def leading_coeff(self) -> int:
-        if not self.terms:
+        if not self:
             raise Undefined("0 has no leading term")
-        return self.terms[0][1]
+        return self[0][1]
 
     def __int__(self) -> int:
-        if not self.terms:
+        if not self:
             return 0
         if self.is_finite:
-            return self.terms[0][1]
+            return self[0][1]
         raise Undefined("transfinite ordinal has no integer value")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self is other or self.terms == other.terms
+    def _no_operator(self, other):
+        raise TypeError(
+            "ordinals have two arithmetics: use rec_add/nat_add or rec_mul/nat_mul"
+        )
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_operator
+    del _no_operator
 
-    def __lt__(self, other) -> bool:
-        return compare(self, other) < 0
-
-    def __le__(self, other) -> bool:
-        return compare(self, other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return compare(self, other) > 0
-
-    def __ge__(self, other) -> bool:
-        return compare(self, other) >= 0
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.terms)
-            self._hash = h
-        return h
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def __reduce__(self):
+        return _make, (tuple(self),)
 
     def __repr__(self) -> str:
         return f"Ordinal[{ordinal_str(self)}]"
 
 
 def _make(terms: tuple) -> Ordinal:
-    o = Ordinal.__new__(Ordinal)
-    o.terms = terms
-    o._hash = None
-    return o
+    return tuple.__new__(Ordinal, terms)
 
 
 ZERO = Ordinal(0)
@@ -136,17 +118,15 @@ def validate(o: Ordinal) -> None:
     """Check all normal-form invariants, recursively.  Raises ValueError."""
     if not isinstance(o, Ordinal):
         raise ValueError(f"not an Ordinal: {o!r}")
-    if not isinstance(o.terms, tuple):
-        raise ValueError("terms must be a tuple")
     prev = None
-    for t in o.terms:
+    for t in o:
         if not (isinstance(t, tuple) and len(t) == 2):
             raise ValueError(f"bad term {t!r}")
         e, c = t
         if not isinstance(c, int) or isinstance(c, bool) or c < 1:
             raise ValueError(f"coefficient must be a positive int, got {c!r}")
         validate(e)
-        if prev is not None and compare(prev, e) <= 0:
+        if prev is not None and prev <= e:
             raise ValueError("exponents must be strictly decreasing")
         prev = e
 
@@ -162,94 +142,80 @@ def compare(a: Ordinal, b: Ordinal) -> int:
 
     Lexicographic on term lists: exponents compare recursively, then
     coefficients, then the remaining terms; a shorter list that is a prefix
-    of the other is smaller.
+    of the other is smaller.  That is Python's tuple order on the value.
     """
-    if a is b:
-        return EQ
-    ta, tb = a.terms, b.terms
-    for (ea, ca), (eb, cb) in zip(ta, tb):
-        c = compare(ea, eb)
-        if c:
-            return c
-        if ca != cb:
-            return LT if ca < cb else GT
-    if len(ta) == len(tb):
-        return EQ
-    return LT if len(ta) < len(tb) else GT
+    return (a > b) - (a < b)
 
 
 def classify(a: Ordinal) -> OrdinalClass:
     """Zero / successor / limit trichotomy, read off the last term."""
-    if not a.terms:
+    if not a:
         return OrdinalClass.ZERO
-    if not a.terms[-1][0].terms:
+    if not a[-1][0]:
         return OrdinalClass.SUCCESSOR
     return OrdinalClass.LIMIT
 
 
 def successor(a: Ordinal) -> Ordinal:
-    if a.terms and not a.terms[-1][0].terms:
-        e, c = a.terms[-1]
-        return _make(a.terms[:-1] + ((e, c + 1),))
-    return _make(a.terms + ((ZERO, 1),))
+    if a and not a[-1][0]:
+        e, c = a[-1]
+        return _make(a[:-1] + ((e, c + 1),))
+    return _make(a[:] + ((ZERO, 1),))
 
 
 def predecessor(a: Ordinal) -> Ordinal:
     if classify(a) is not OrdinalClass.SUCCESSOR:
         raise Undefined("only successor ordinals have a predecessor")
-    e, c = a.terms[-1]
+    e, c = a[-1]
     if c > 1:
-        return _make(a.terms[:-1] + ((e, c - 1),))
-    return _make(a.terms[:-1])
+        return _make(a[:-1] + ((e, c - 1),))
+    return _make(a[:-1])
 
 
 def rec_add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Recursive (non-commutative) sum: absorbs a's tail below b's lead."""
-    if not b.terms:
+    if not b:
         return a
-    if not a.terms:
+    if not a:
         return b
-    e = b.terms[0][0]
-    ta = a.terms
-    i = 0
-    while i < len(ta) and compare(ta[i][0], e) > 0:
+    e = b[0][0]
+    i, n = 0, len(a)
+    while i < n and a[i][0] > e:
         i += 1
-    if i < len(ta) and ta[i][0] == e:
-        merged = ((e, ta[i][1] + b.terms[0][1]),) + b.terms[1:]
+    if i < n and a[i][0] == e:
+        merged = ((e, a[i][1] + b[0][1]),) + b[1:]
     else:
-        merged = b.terms
-    return _make(ta[:i] + merged)
+        merged = b[:]
+    return _make(a[:i] + merged)
 
 
 def rec_sub_left(a: Ordinal, b: Ordinal) -> Ordinal:
     """The unique g with ``rec_add(a, g) == b``; requires a < b."""
-    if compare(a, b) != LT:
+    if not a < b:
         raise Undefined("left subtraction needs a < b")
-    ta, tb = a.terms, b.terms
     i = 0
-    while i < len(ta) and ta[i] == tb[i]:
+    while i < len(a) and a[i] == b[i]:
         i += 1
-    if i == len(ta):
-        return _make(tb[i:])
-    (ea, ca), (eb, cb) = ta[i], tb[i]
-    c = compare(ea, eb)
-    if c == LT:
-        return _make(tb[i:])
+    if i == len(a):
+        return _make(b[i:])
+    (ea, ca), (eb, cb) = a[i], b[i]
+    if ea < eb:
+        return _make(b[i:])
     # a < b rules out ea > eb and ca > cb at the first difference
-    return _make(((eb, cb - ca),) + tb[i + 1:])
+    return _make(((eb, cb - ca),) + b[i + 1:])
 
 
 def rec_mul(a: Ordinal, b: Ordinal) -> Ordinal:
     """Recursive product, distributed over b's normal form left-to-right."""
-    if not a.terms or not b.terms:
+    if not a or not b:
         return ZERO
-    za, ca = a.terms[0]
+    za, ca = a[0]
     out = ZERO
-    for e, c in b.terms:
-        if e.terms:
+    for e, c in b:
+        if e:
             part = _make(((rec_add(za, e), c),))
         else:
-            part = _make(((za, ca * c),) + a.terms[1:])
+            part = _make(((za, ca * c),) + a[1:])
         out = rec_add(out, part)
     return out
 
@@ -311,31 +277,31 @@ def rec_pow(a: Ordinal, b: Ordinal, max_digits: int = DEFAULT_MAX_DIGITS) -> Ord
     Finite powers of finite bases are guarded by ``max_digits`` (decimal
     digit budget); exceeding it raises :class:`ResourceExceeded`.
     """
-    if not b.terms:
+    if not b:
         return ONE
-    if not a.terms:
+    if not a:
         return ZERO  # 0^b = 0 for b > 0
     if a == ONE:
         return ONE
-    finite_part = b.terms[-1][1] if not b.terms[-1][0].terms else 0
+    finite_part = b[-1][1] if not b[-1][0] else 0
     if a.is_finite:
         m = int(a)
         if b.is_finite:
             return Ordinal(_guard_pow(m, int(b), max_digits))
         # m^(w^e * k) = w^(w^(e-1) * k) for finite e, w^(w^e * k) for limit e
         head_exp = ZERO
-        for e, k in b.terms:
-            if e.terms:
+        for e, k in b:
+            if e:
                 head_exp = rec_add(head_exp, _make(((_dec_exp(e), k),)))
         head = _make(((head_exp, 1),))
         if finite_part:
             return rec_mul(head, Ordinal(_guard_pow(m, finite_part, max_digits)))
         return head
     # transfinite base: a^(limit part) collapses to a single omega power
-    za = a.terms[0][0]
-    limit_terms = b.terms[:-1] if finite_part else b.terms
-    if limit_terms:
-        head = _make(((rec_mul(za, _make(limit_terms)), 1),))
+    za = a[0][0]
+    limit = _make(b[:-1]) if finite_part else b
+    if limit:
+        head = _make(((rec_mul(za, limit), 1),))
         if finite_part:
             return rec_mul(head, _ord_int_pow(a, finite_part))
         return head
@@ -352,24 +318,24 @@ def rec_sum(seq: Sequence[Ordinal], n: int) -> Ordinal:
 
 def ordinal_divmod(a: Ordinal, d: Ordinal) -> tuple:
     """Unique (q, r) with ``a == rec_add(rec_mul(d, q), r)`` and r < d."""
-    if not d.terms:
+    if not d:
         raise DivisionByZero("ordinal division by zero")
     q, r = ZERO, a
-    zd, cd = d.terms[0]
-    while compare(r, d) >= 0:
-        zr, cr = r.terms[0]
-        if compare(zr, zd) > 0:
+    zd, cd = d[0]
+    while r >= d:
+        zr, cr = r[0]
+        if zr > zd:
             x = rec_sub_left(zd, zr)
             q = rec_add(q, _make(((x, cr),)))
-            r = _make(r.terms[1:])
+            r = _make(r[1:])
         else:
             k = cr // cd
             cand = rec_mul(d, Ordinal(k))
-            if compare(cand, r) > 0:
+            if cand > r:
                 k -= 1
                 cand = rec_mul(d, Ordinal(k))
             q = rec_add(q, Ordinal(k))
-            r = rec_sub_left(cand, r) if compare(cand, r) < 0 else ZERO
+            r = rec_sub_left(cand, r) if cand < r else ZERO
             break
     return q, r
 
@@ -394,19 +360,19 @@ class BaseExpansion:
 
 def _log_floor(base: Ordinal, a: Ordinal) -> Ordinal:
     """Largest g with base^g <= a, for base > 1, a >= 1."""
-    if compare(a, base) < 0:
+    if a < base:
         return ZERO
     if base.is_finite:
         m = int(base)
         if a.is_finite:
             return Ordinal(_int_log_floor(int(a), m))
         # match the leading omega power of a exactly, then fit a finite tail
-        zeta, c = a.terms[0]
-        trans = tuple((_inc_exp(x), k) for x, k in zeta.terms) if zeta.terms else ()
+        zeta, c = a[0]
+        trans = tuple((_inc_exp(x), k) for x, k in zeta)
         g = rec_add(_make(trans), Ordinal(_int_log_floor(c, m)))
         return g
-    g, _ = ordinal_divmod(a.terms[0][0], base.terms[0][0])
-    if compare(rec_pow(base, g), a) > 0:
+    g, _ = ordinal_divmod(a[0][0], base[0][0])
+    if rec_pow(base, g) > a:
         g = predecessor(g)
     return g
 
@@ -416,15 +382,15 @@ def base_expand(a: Ordinal, base: Ordinal) -> BaseExpansion:
 
     For base omega the digits coincide with the normal-form coefficients.
     """
-    if compare(base, ONE) <= 0:
+    if base <= ONE:
         raise Undefined("expansion base must exceed 1")
-    if not a.terms:
+    if not a:
         raise Undefined("0 has no expansion")
     if base == OMEGA:
-        return BaseExpansion(base, tuple((e, Ordinal(c)) for e, c in a.terms))
+        return BaseExpansion(base, tuple((e, Ordinal(c)) for e, c in a))
     digits = []
     rest = a
-    while rest.terms:
+    while rest:
         g = _log_floor(base, rest)
         d, rest = ordinal_divmod(rest, rec_pow(base, g))
         digits.append((g, d))
@@ -435,18 +401,18 @@ def depth(a: Ordinal) -> int:
     """Nesting depth of the normal form: 0 for finite values."""
     if a.is_finite:
         return 0
-    return 1 + max(depth(e) for e, _ in a.terms)
+    return 1 + max(depth(e) for e, _ in a)
 
 
 def ordinal_str(a: Ordinal) -> str:
     """Canonical text form, e.g. ``w^(w^2)*3 + w*2 + 7``."""
-    if not a.terms:
+    if not a:
         return "0"
-    return " + ".join(_term_str(e, c) for e, c in a.terms)
+    return " + ".join(_term_str(e, c) for e, c in a)
 
 
 def _term_str(e: Ordinal, c: int) -> str:
-    if not e.terms:
+    if not e:
         return str(c)
     if e == ONE:
         body = "w"

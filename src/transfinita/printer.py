@@ -43,7 +43,7 @@ def print_canonical(v) -> str:
 
 
 def ordinal_tree(o: Ordinal) -> dict:
-    return {"terms": [{"exp": ordinal_tree(e), "coeff": str(c)} for e, c in o.terms]}
+    return {"terms": [{"exp": ordinal_tree(e), "coeff": str(c)} for e, c in o]}
 
 
 def ordinal_from_tree(tree: dict) -> Ordinal:
@@ -103,4 +103,6 @@ def value_tree(v) -> dict:
         if v.witness is not None:
             out["witness"] = surrational_tree(v.witness)
         return out
+    if isinstance(v, CutHandle):
+        return {"type": "cut", "n": str(v.n), "radicand": surrational_tree(v.q)}
     raise Undefined(f"no JSON form for {v!r}")

@@ -28,7 +28,6 @@ from .ordinal import (
     LT,
     ZERO,
     Ordinal,
-    compare,
     validate as validate_ordinal,
 )
 from .ordinal import _make as _make_ordinal
@@ -58,7 +57,7 @@ class SurInteger:
 
     @staticmethod
     def from_ordinal(o: Ordinal) -> "SurInteger":
-        return _make(o.terms)
+        return _make(o[:])
 
     @property
     def is_zero(self) -> bool:
@@ -66,7 +65,7 @@ class SurInteger:
 
     @property
     def is_finite(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not self.terms[0][0].terms)
+        return not self.terms or (len(self.terms) == 1 and not self.terms[0][0])
 
     def __int__(self) -> int:
         if not self.terms:
@@ -119,7 +118,7 @@ def validate(a: SurInteger) -> None:
         if not isinstance(c, int) or isinstance(c, bool) or c == 0:
             raise ValueError(f"coefficient must be a nonzero int, got {c!r}")
         validate_ordinal(e)
-        if prev is not None and compare(prev, e) <= 0:
+        if prev is not None and prev <= e:
             raise ValueError("exponents must be strictly decreasing")
         prev = e
 
@@ -142,21 +141,21 @@ def to_coordinates(a: SurInteger) -> CoordinateForm:
 
 def from_coordinates(c: CoordinateForm) -> SurInteger:
     """Signed merge of the pair view; shared exponents balance out."""
-    tn, tp = c.negative.terms, c.positive.terms
+    tn, tp = c.negative, c.positive
     out = []
     i = j = 0
     while i < len(tn) and j < len(tp):
-        cmp = compare(tn[i][0], tp[j][0])
-        if cmp > 0:
-            out.append((tn[i][0], -tn[i][1]))
+        en, ep = tn[i][0], tp[j][0]
+        if en > ep:
+            out.append((en, -tn[i][1]))
             i += 1
-        elif cmp < 0:
+        elif en < ep:
             out.append(tp[j])
             j += 1
         else:
             d = tp[j][1] - tn[i][1]
             if d:
-                out.append((tn[i][0], d))
+                out.append((en, d))
             i += 1
             j += 1
     out.extend((e, -c2) for e, c2 in tn[i:])
@@ -170,17 +169,17 @@ def si_add(a: SurInteger, b: SurInteger) -> SurInteger:
     out = []
     i = j = 0
     while i < len(ta) and j < len(tb):
-        c = compare(ta[i][0], tb[j][0])
-        if c > 0:
+        ea, eb = ta[i][0], tb[j][0]
+        if ea > eb:
             out.append(ta[i])
             i += 1
-        elif c < 0:
+        elif ea < eb:
             out.append(tb[j])
             j += 1
         else:
             s = ta[i][1] + tb[j][1]
             if s:
-                out.append((ta[i][0], s))
+                out.append((ea, s))
             i += 1
             j += 1
     out.extend(ta[i:])
@@ -217,13 +216,12 @@ def si_compare(a: SurInteger, b: SurInteger) -> int:
     i = 0
     while i < len(ta) and i < len(tb):
         (ea, ca), (eb, cb) = ta[i], tb[i]
-        c = compare(ea, eb)
-        if c == 0:
+        if ea == eb:
             if ca != cb:
                 return LT if ca < cb else GT
             i += 1
             continue
-        if c > 0:
+        if ea > eb:
             return GT if ca > 0 else LT
         return LT if cb > 0 else GT
     if i < len(ta):
@@ -273,7 +271,7 @@ def in_lambda_ring(a: SurInteger, lam: Ordinal) -> bool:
     """Membership in the ring truncated at ``lam``: both coordinates below it."""
     check_lambda(lam)
     c = to_coordinates(a)
-    return compare(c.negative, lam) < 0 and compare(c.positive, lam) < 0
+    return c.negative < lam and c.positive < lam
 
 
 def cyclic_decompose(a: SurInteger):

@@ -145,11 +145,11 @@ def _monomial_content(a: SurInteger):
     dom = None
     for e, _ in a.terms:
         if dom is None:
-            dom = dict(e.terms)
+            dom = dict(e)
         else:
             dom = {
                 x: min(k, dom[x])
-                for x, k in e.terms
+                for x, k in e
                 if x in dom
             }
         if not dom:
@@ -163,8 +163,8 @@ def _monomial_content(a: SurInteger):
 def _strip_monomial(a: SurInteger, m: Ordinal) -> SurInteger:
     out = []
     for e, c in a.terms:
-        left = dict(e.terms)
-        for x, k in m.terms:
+        left = dict(e)
+        for x, k in m:
             left[x] -= k
             if not left[x]:
                 del left[x]
@@ -185,15 +185,15 @@ def _light_reduce(num: SurInteger, den: SurInteger) -> SurRational:
     md = _monomial_content(den)
     if m is not None and md is not None:
         shared = _min_exponent(m, md)
-        if shared.terms:
+        if shared:
             num = _strip_monomial(num, shared)
             den = _strip_monomial(den, shared)
     return SurRational(num, den)
 
 
 def _min_exponent(x: Ordinal, y: Ordinal) -> Ordinal:
-    dx = dict(x.terms)
-    out = {e: min(k, dx[e]) for e, k in y.terms if e in dx}
+    dx = dict(x)
+    out = {e: min(k, dx[e]) for e, k in y if e in dx}
     exps = sorted(out, reverse=True)
     return _make_ordinal(tuple((e, out[e]) for e in exps))
 
@@ -227,8 +227,8 @@ def exact_divide(a: SurInteger, b: SurInteger):
 
 def _exp_diff(er: Ordinal, eb: Ordinal):
     # x with nat_add(eb, x) == er, or None
-    left = dict(er.terms)
-    for e, k in eb.terms:
+    left = dict(er)
+    for e, k in eb:
         have = left.get(e, 0)
         if have < k:
             return None
@@ -306,6 +306,6 @@ def surrational_str(p: SurRational) -> str:
     den_s = surinteger_str(p.den)
     # a lone number or a coefficient-free power parses unambiguously after /
     e, c = p.den.terms[0]
-    if len(p.den.terms) > 1 or (e.terms and c != 1):
+    if len(p.den.terms) > 1 or (e and c != 1):
         den_s = f"({den_s})"
     return f"{num_s} / {den_s}"

@@ -4,6 +4,8 @@ import io
 import json
 
 from transfinita.cli import main
+from transfinita.errors import Undefined
+from transfinita.expr import EvalError
 
 
 def run(capsys, *argv):
@@ -33,6 +35,35 @@ class TestEval:
         code, out, _ = run(capsys, "--json", "eval", "1 +")
         rec = json.loads(out)
         assert code == 1 and rec["error"]["kind"] == "parse"
+
+    def test_cut_json_record(self, capsys):
+        code, out, _ = run(capsys, "--json", "eval", "sqrt[3](2/w)")
+        rec = json.loads(out)
+        assert code == 0 and rec["canonical"] == "sqrt[3](2 / w)"
+        assert rec["value"]["type"] == "cut" and rec["value"]["n"] == "3"
+        radicand = rec["value"]["radicand"]
+        assert radicand["num"]["terms"][0]["coeff"] == "2"
+        assert radicand["den"]["terms"][0]["exp"] == {"terms": [{"exp": {"terms": []}, "coeff": "1"}]}
+
+    def test_eval_error_json_has_span(self, capsys):
+        code, out, _ = run(capsys, "--json", "eval", "1 + (w -. 2)")
+        err = json.loads(out)["error"]
+        assert code == 1
+        assert (err["kind"], err["operation"], err["line"], err["col"]) == ("Undefined", "-.", 1, 8)
+
+    def test_eval_error_without_span(self, monkeypatch, capsys):
+        def fail(*args):
+            raise EvalError(Undefined("no position"), "op", None)
+
+        monkeypatch.setattr("transfinita.cli._eval_line", fail)
+        code, out, _ = run(capsys, "--json", "eval", "x")
+        err = json.loads(out)["error"]
+        assert code == 1 and err["line"] is None and err["col"] is None
+
+    def test_huge_root_does_not_overflow(self, capsys):
+        code, out, _ = run(capsys, "--json", "eval", "classify(sqrt[2](10^400))")
+        rec = json.loads(out)
+        assert code == 0 and rec["canonical"] == f"Surrational({10**200})"
 
     def test_magnitude_flag(self, capsys):
         code, _, err = run(capsys, "--max-magnitude", "10", "eval", "H[4](3,3)")

@@ -29,10 +29,11 @@ from transfinita import (
     q_eq,
     q_mul,
 )
-from transfinita.cuts import _q_pow, rational_cut_bump
-from transfinita.surrational import Q_ZERO, q_from_int
+from transfinita.cuts import _int_nth_root, _q_pow, _si_nth_root, rational_cut_bump
+from transfinita.surinteger import SurInteger, si_add, si_scale
+from transfinita.surrational import Q_ZERO, SurRational, q_from_int, reduce
 
-from conftest import o, q, surrationals
+from conftest import o, q, si, surrationals
 
 WW = None
 
@@ -134,6 +135,66 @@ class TestRootClassification:
         out = classify_root_cut(RootCut(sq, 2, WW))
         if out.kind == "surrational":
             assert q_eq(q_mul(out.witness, out.witness), sq)
+
+
+def _trial_classify(cut, search_bound=24):
+    """Reference: the structural analysis, then every i/j with i, j up to the
+    bound in i-major order, the search the exact test replaced."""
+    qr = reduce(cut.q)
+    rn, dec_n = _si_nth_root(qr.num, cut.n)
+    rd, dec_d = _si_nth_root(qr.den, cut.n)
+    if dec_n and dec_d:
+        if rn is not None and rd is not None:
+            return "surrational", SurRational(rn, rd)
+        return "irrational", None
+    for i in range(1, search_bound + 1):
+        for j in range(1, search_bound + 1):
+            cand = SurRational(SurInteger(i), SurInteger(j))
+            if q_eq(_q_pow(cand, cut.n), qr):
+                return "surrational", cand
+    return "inconclusive", None
+
+
+class TestExactRootTest:
+    POLYS = ("w^2*3 - w*2 + 5", "w + 1", "w^(w)*2 + w^3 - 7", "w^2 - w*4 + 4")
+
+    def _cases(self):
+        for n in (2, 3, 5):
+            for k, text in enumerate(self.POLYS):
+                p = si(text)
+                # proportional: roots on either side of the bound, and ratios
+                # that are not perfect powers
+                for i, j in ((2, 3), (1, 24), (24, 7), (25, 1), (3, 25), (6, 4)):
+                    yield SurRational(si_scale(p, i**n), si_scale(p, j**n)), n
+                yield SurRational(si_scale(p, 2 * 3**n), si_scale(p, 5**n)), n
+                # 400+ digit ratios: past the bound, whether a power or not
+                yield SurRational(si_scale(p, 10**400 + 1), si_scale(p, 3)), n
+                yield SurRational(si_scale(p, 7**(480 * n)), p), n
+                # not proportional: other exponents or other coefficients
+                other = si(self.POLYS[(k + 1) % len(self.POLYS)])
+                yield SurRational(si_scale(p, 4**n), other), n
+                yield SurRational(si_scale(p, 4), si_add(p, SurInteger(1))), n
+
+    def test_matches_trial_search(self):
+        seen = set()
+        for rad, n in self._cases():
+            cut = RootCut(rad, n, WW)
+            got = classify_root_cut(cut)
+            kind, witness = _trial_classify(cut)
+            assert got.kind == kind
+            if witness is not None:
+                assert (got.witness.num, got.witness.den) == (witness.num, witness.den)
+            seen.add(kind)
+        assert seen == {"surrational", "inconclusive"}
+
+    def test_integer_roots_past_float_range(self):
+        for n in (2, 3, 5, 7):
+            for v in (10**400, 10**400 + 1, 3**900 - 1, 2**2000, 10**309):
+                r = _int_nth_root(v, n)
+                assert r**n <= v < (r + 1) ** n
+        out = classify_root_cut(RootCut(q("10^400"), 2, WW))
+        assert out.kind == "surrational" and q_eq(out.witness, q("10^200"))
+        assert classify_root_cut(RootCut(q("10^401"), 2, WW)).kind == "irrational"
 
 
 class TestGaussian:

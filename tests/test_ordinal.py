@@ -1,5 +1,10 @@
 """Ordinal normal forms and the recursive arithmetic."""
 
+import copy
+import pickle
+from functools import cmp_to_key
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -12,6 +17,7 @@ from transfinita import (
     ZERO,
     Ordinal,
     OrdinalClass,
+    SurInteger,
     Undefined,
     base_expand,
     classify,
@@ -50,6 +56,72 @@ class TestCompare:
     def test_transitive(self, a, b, c):
         if compare(a, b) <= 0 and compare(b, c) <= 0:
             assert compare(a, c) <= 0
+
+
+def _ref_compare(a, b):
+    """The recursive normal-form comparison that tuple order replaced."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = _ref_compare(ea, eb)
+        if c:
+            return c
+        if ca != cb:
+            return LT if ca < cb else GT
+    if len(a.terms) == len(b.terms):
+        return EQ
+    return LT if len(a.terms) < len(b.terms) else GT
+
+
+def _ref_equal(a, b):
+    return len(a.terms) == len(b.terms) and all(
+        _ref_equal(ea, eb) and ca == cb for (ea, ca), (eb, cb) in zip(a.terms, b.terms)
+    )
+
+
+class TestNativeOrder:
+    @given(ordinals(), ordinals())
+    def test_tuple_order_is_normal_form_order(self, a, b):
+        c = _ref_compare(a, b)
+        assert compare(a, b) == c
+        assert (a < b, a <= b, a > b, a >= b) == (c < 0, c <= 0, c > 0, c >= 0)
+        assert (a == b) == (c == EQ) == _ref_equal(a, b)
+        assert (a != b) == (c != EQ)
+
+    @given(ordinals())
+    def test_equal_values_hash_equal(self, a):
+        b = pickle.loads(pickle.dumps(a))
+        assert b is not a and b == a and hash(b) == hash(a)
+
+    @given(st.lists(ordinals(), max_size=12))
+    def test_sorted_agrees(self, xs):
+        assert sorted(xs) == sorted(xs, key=cmp_to_key(_ref_compare))
+
+
+class TestValueProtocol:
+    def test_plus_and_times_raise(self):
+        for op in (
+            lambda: ONE + ONE,
+            lambda: OMEGA * 2,
+            lambda: 2 * OMEGA,
+            lambda: OMEGA + (),
+            lambda: () + OMEGA,
+        ):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_copy_and_pickle_round_trip(self):
+        a = o("w^(w^2*3 + w)*2 + w*5 + 7")
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(b) is Ordinal and b == a and repr(b) == repr(a)
+            validate(b)
+
+    def test_never_equals_a_surinteger(self):
+        assert Ordinal(3) != SurInteger(3) and SurInteger(3) != Ordinal(3)
+        assert not Ordinal(3) == SurInteger(3)
+
+    def test_terms_are_the_value(self):
+        assert repr(OMEGA) == "Ordinal[w]"
+        assert OMEGA.terms is OMEGA and OMEGA == ((ONE, 1),)
+        assert not ZERO and ZERO == ()
 
 
 class TestClassify:
