@@ -18,12 +18,12 @@ import json
 import sys
 
 from .errors import TransfinitaError
-from .expr import BinOp, CutHandle, EvalError, as_ordinal, evaluate
+from .expr import DEFAULT_AMBIENT, BinOp, EvalError, as_ordinal, evaluate
 from .hyper import EvalContext
 from .oracle import DEFAULT_BOUND, SmallOrdinal, def_rec_add, def_rec_mul
 from .ordinal import ONE, ZERO, Ordinal
 from .parser import ParseError, parse
-from .printer import JSON_SCHEMA, print_canonical, value_tree
+from .printer import JSON_SCHEMA, VALUE_TYPES, print_canonical, value_tree
 
 CLI_MAX_DIGITS = 100_000  # interactive default; the library default is far larger
 
@@ -102,8 +102,9 @@ def _record(line: str, env, ctx, ambient, use_oracle) -> dict:
     rec = {"schema": JSON_SCHEMA, "input": line}
     try:
         value, warning = _eval_line(line, env, ctx, ambient, use_oracle)
-        rec["value"] = value_tree(value)
-        rec["canonical"] = print_canonical(value)
+        # both before either is stored: a failing printer leaves no half record
+        tree, canonical = value_tree(value), print_canonical(value)
+        rec["value"], rec["canonical"] = tree, canonical
         if warning:
             rec["warning"] = warning
     except ParseError as err:
@@ -126,13 +127,17 @@ def _record(line: str, env, ctx, ambient, use_oracle) -> dict:
         }
     except TransfinitaError as err:
         rec["error"] = {"kind": type(err).__name__, "message": str(err)}
+    except Exception as err:  # a defect, not a user error: report it, keep going
+        import traceback  # loaded only when a defect needs it, not at start-up
+
+        traceback.print_exc(limit=-4)
+        rec["error"] = {"kind": "internal", "message": f"{type(err).__name__}: {err}"}
     return rec
 
 
 def _cmd_eval(args, ctx) -> int:
     env: dict = {}
-    ambient = _default_ambient()
-    rec = _record(args.expression, env, ctx, ambient, args.oracle)
+    rec = _record(args.expression, env, ctx, DEFAULT_AMBIENT, args.oracle)
     if args.json:
         print(json.dumps(rec))
         return 0 if "error" not in rec else 1
@@ -147,22 +152,20 @@ def _cmd_eval(args, ctx) -> int:
 
 def _cmd_batch(args, ctx) -> int:
     env: dict = {}
-    ambient = _default_ambient()
     failed = False
     with open(args.path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if not line:
                 continue
-            rec = _record(line, env, ctx, ambient, args.oracle)
+            rec = _record(line, env, ctx, DEFAULT_AMBIENT, args.oracle)
             failed = failed or "error" in rec
             print(json.dumps(rec))
     return 1 if failed else 0
 
 
 def _default_ambient() -> Ordinal:
-    from .expr import DEFAULT_AMBIENT
-
+    # the benchmark (bench/run.py, bench/test_bench.py) still calls this
     return DEFAULT_AMBIENT
 
 
@@ -176,31 +179,13 @@ _REPL_HELP = """commands:
 
 
 def _value_kind(v) -> str:
-    from .cuts import GaussianSurRational, RootClassification
-    from .ordinal import OrdinalClass
-    from .surinteger import SurInteger
-    from .surrational import SurRational
-
-    if isinstance(v, bool):
-        return "boolean"
-    if isinstance(v, Ordinal):
-        return "ordinal"
-    if isinstance(v, SurInteger):
-        return "surinteger"
-    if isinstance(v, SurRational):
-        return "surrational"
-    if isinstance(v, GaussianSurRational):
-        return "gaussian"
-    if isinstance(v, (OrdinalClass, RootClassification)):
-        return "classification"
-    if isinstance(v, CutHandle):
-        return "cut"
-    return type(v).__name__
+    entry = VALUE_TYPES.get(type(v))
+    return entry[0] if entry else type(v).__name__
 
 
 def _cmd_repl(args, ctx) -> int:
     env: dict = {}
-    ambient = _default_ambient()
+    ambient = DEFAULT_AMBIENT
     use_oracle = args.oracle
     print("transfinita repl -- :help for commands")
     while True:

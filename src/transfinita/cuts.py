@@ -204,14 +204,6 @@ def _q_pow(p: SurRational, n: int) -> SurRational:
     return SurRational(si_pow(p.num, n), si_pow(p.den, n))
 
 
-def rational_cut_bump(cut: RationalCut, p: SurRational) -> SurRational:
-    """A member strictly above member ``p``: the midpoint towards the cut
-    value, witnessing that the left set has no greatest element."""
-    from .surrational import midpoint
-
-    return midpoint(p, cut.q)
-
-
 @dataclass(frozen=True)
 class GaussianSurRational:
     """Pair (re, im) with the usual complex formulas over surrationals."""

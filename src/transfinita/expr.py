@@ -135,16 +135,14 @@ class EvalError(TransfinitaError):
         super().__init__(f"{type(origin).__name__} in {operation}{where}: {origin}")
 
 
+_LEVELS = {Ordinal: 0, SurInteger: 1, SurRational: 2, GaussianSurRational: 3}
+
+
 def _level(v: Value) -> int:
-    if isinstance(v, Ordinal):
-        return 0
-    if isinstance(v, SurInteger):
-        return 1
-    if isinstance(v, SurRational):
-        return 2
-    if isinstance(v, GaussianSurRational):
-        return 3
-    raise Undefined(f"{v!r} is not a numeric value")
+    try:
+        return _LEVELS[type(v)]
+    except KeyError:
+        raise Undefined(f"{v!r} is not a numeric value") from None
 
 
 def promote(v: Value, level: int) -> Value:

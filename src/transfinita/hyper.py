@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import NotRepresentable, ResourceExceeded, Undefined, Unsupported
-from .natural import _is_add_closed, _is_mul_closed
+from .natural import _is_add_closed, _is_exp_closed, _is_mul_closed
 from .ordinal import (
     DEFAULT_MAX_DIGITS,
     OMEGA,
@@ -262,7 +262,7 @@ def is_hyper_number(n: int, a: Ordinal) -> bool:
         return _is_add_closed(a)
     if n == 2:
         return _is_mul_closed(a)
-    return (a.is_finite and int(a) in (0, 1, 2)) or a == OMEGA
+    return _is_exp_closed(a)
 
 
 def next_hyper_number(

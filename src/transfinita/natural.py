@@ -45,43 +45,55 @@ from .ordinal import (
 )
 
 
+def _merge_terms(ta, tb) -> list:
+    """Merge-add of two term lists sorted by decreasing exponent; sums that
+    cancel to zero drop out (two ordinal coefficients never cancel)."""
+    out = []
+    i = j = 0
+    la, lb = len(ta), len(tb)
+    while i < la and j < lb:
+        ea, eb = ta[i][0], tb[j][0]
+        if ea > eb:
+            out.append(ta[i])
+            i += 1
+        elif ea < eb:
+            out.append(tb[j])
+            j += 1
+        else:
+            s = ta[i][1] + tb[j][1]
+            if s:
+                out.append((ea, s))
+            i += 1
+            j += 1
+    out.extend(ta[i:])
+    out.extend(tb[j:])
+    return out
+
+
+def _convolve_terms(ta, tb) -> tuple:
+    """Distributive product of two term lists: exponents add naturally, like
+    terms collect, and coefficients that cancel to zero drop out."""
+    bucket: dict = {}
+    for ea, ca in ta:
+        for eb, cb in tb:
+            e = nat_add(ea, eb)
+            bucket[e] = bucket.get(e, 0) + ca * cb
+    exps = sorted((e for e, c in bucket.items() if c), reverse=True)
+    return tuple((e, bucket[e]) for e in exps)
+
+
 def nat_add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Commutative sum: coefficientwise merge over the union of exponents."""
     if not a:
         return b
     if not b:
         return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        ea, eb = a[i][0], b[j][0]
-        if ea > eb:
-            out.append(a[i])
-            i += 1
-        elif ea < eb:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append((ea, a[i][1] + b[j][1]))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return _make(out)
+    return _make(_merge_terms(a, b))
 
 
 def nat_mul(a: Ordinal, b: Ordinal) -> Ordinal:
     """Commutative product: distribute fully, adding exponents naturally."""
-    if not a or not b:
-        return ZERO
-    bucket: dict = {}
-    for ea, ca in a:
-        for eb, cb in b:
-            e = nat_add(ea, eb)
-            bucket[e] = bucket.get(e, 0) + ca * cb
-    exps = sorted(bucket, reverse=True)
-    return _make(tuple((e, bucket[e]) for e in exps))
+    return _make(_convolve_terms(a, b))
 
 
 def nat_sum(seq, n: int) -> Ordinal:
@@ -161,43 +173,3 @@ def next_closure(kind: ClosureKind, a: Ordinal) -> Ordinal:
     if a.is_finite:  # a == 2
         return OMEGA
     raise NotRepresentable("the next exponentiation closure point exceeds the notation")
-
-
-def closure_counterexample(kind: ClosureKind, a: Ordinal, rng, tries: int = 40):
-    """Bounded random refuter for the structural decision.
-
-    Samples witnesses below ``a`` and checks the defining condition,
-    returning a violating pair (or single ordinal for absorption kinds)
-    if one is found, else None.  Used by tests to cross-check
-    :func:`is_closure_number` in both directions.
-    """
-    from .oracle import random_ordinal_below  # local import avoids a cycle
-
-    from .ordinal import rec_add
-
-    if not a:
-        return None
-    for _ in range(tries):
-        b = random_ordinal_below(a, rng)
-        if kind is ClosureKind.GAMMA_ADD:
-            if rec_add(b, a) != a:
-                return b
-        elif kind is ClosureKind.DELTA_MUL:
-            if b.is_zero:
-                continue
-            if rec_mul(b, a) != a:
-                return b
-        elif kind is ClosureKind.EPSILON_EXP:
-            if b <= ONE:
-                continue
-            if rec_pow(b, a) != a:
-                return b
-        elif kind is ClosureKind.NAT_ADD:
-            c = random_ordinal_below(a, rng)
-            if nat_add(b, c) >= a:
-                return (b, c)
-        else:  # NAT_MUL
-            c = random_ordinal_below(a, rng)
-            if nat_mul(b, c) >= a:
-                return (b, c)
-    return None

@@ -1,5 +1,5 @@
-"""Independent definitional oracle on a small fragment, raw coordinate-pair
-arithmetic, and seeded random value generators.
+"""Independent definitional oracle on a small fragment, and seeded random
+value generators.
 
 The closed-form ordinal arithmetic is validated against something that does
 not share its code: literal successor/limit unfoldings of the defining
@@ -11,10 +11,6 @@ growing first component has escaped the fragment.
 
 The fragment deliberately stops below w^2: one degree higher the supremum
 rule would have to reproduce the very closed forms under test.
-
-``pair_add``/``pair_mul`` implement the raw componentwise arithmetic on
-ordinal pairs that underlies the signed normal forms; tests confirm it
-agrees with the surinteger operations on sign-pure pairs.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import FragmentExceeded
-from .natural import nat_add, nat_mul
 from .ordinal import ZERO, Ordinal
 from .ordinal import _make as _make_ordinal
 from .surinteger import SurInteger, _make as _make_si
@@ -153,19 +148,6 @@ def def_rec_pow(x: SmallOrdinal, y: SmallOrdinal, bound: int = DEFAULT_BOUND) ->
         raise FragmentExceeded(f"{x} ^ {y} leaves the degree-one fragment") from None
 
 
-def pair_add(x: tuple, y: tuple) -> tuple:
-    """Componentwise natural sum on raw (ordinal, ordinal) pairs."""
-    return (nat_add(x[0], y[0]), nat_add(x[1], y[1]))
-
-
-def pair_mul(x: tuple, y: tuple) -> tuple:
-    """Sign-rule product on raw pairs: first coordinate collects the mixed
-    products, second the matching ones."""
-    first = nat_add(nat_mul(x[0], y[1]), nat_mul(x[1], y[0]))
-    second = nat_add(nat_mul(x[0], y[0]), nat_mul(x[1], y[1]))
-    return (first, second)
-
-
 # ---------------------------------------------------------------------------
 # seeded random generators
 
@@ -232,17 +214,3 @@ def random_gaussian(rng, depth: int = 1, max_terms: int = 2, max_coeff: int = 9)
         random_surrational(rng, depth, max_terms, max_coeff),
         random_surrational(rng, depth, max_terms, max_coeff),
     )
-
-
-_GENERATORS = {
-    "ordinal": random_ordinal,
-    "surinteger": random_surinteger,
-    "surrational": random_surrational,
-    "gaussian": random_gaussian,
-}
-
-
-def gen_random(kind: str, rng, **bounds):
-    """Seeded generator dispatch; ``kind`` is one of ordinal, surinteger,
-    surrational, gaussian."""
-    return _GENERATORS[kind](rng, **bounds)

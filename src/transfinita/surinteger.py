@@ -21,7 +21,7 @@ from math import gcd
 from typing import Iterable
 
 from .errors import NOT_CYCLIC, InvalidLambda, Undefined
-from .natural import ClosureKind, is_closure_number, nat_add
+from .natural import ClosureKind, _convolve_terms, _merge_terms, is_closure_number
 from .ordinal import (
     EQ,
     GT,
@@ -78,10 +78,6 @@ class SurInteger:
         if not isinstance(other, SurInteger):
             return NotImplemented
         return self is other or self.terms == other.terms
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __hash__(self) -> int:
         h = self._hash
@@ -141,50 +137,12 @@ def to_coordinates(a: SurInteger) -> CoordinateForm:
 
 def from_coordinates(c: CoordinateForm) -> SurInteger:
     """Signed merge of the pair view; shared exponents balance out."""
-    tn, tp = c.negative, c.positive
-    out = []
-    i = j = 0
-    while i < len(tn) and j < len(tp):
-        en, ep = tn[i][0], tp[j][0]
-        if en > ep:
-            out.append((en, -tn[i][1]))
-            i += 1
-        elif en < ep:
-            out.append(tp[j])
-            j += 1
-        else:
-            d = tp[j][1] - tn[i][1]
-            if d:
-                out.append((en, d))
-            i += 1
-            j += 1
-    out.extend((e, -c2) for e, c2 in tn[i:])
-    out.extend(tp[j:])
-    return _make(tuple(out))
+    return si_add(neg(SurInteger.from_ordinal(c.negative)), SurInteger.from_ordinal(c.positive))
 
 
 def si_add(a: SurInteger, b: SurInteger) -> SurInteger:
     """Exponentwise signed sum; zero coefficients drop out."""
-    ta, tb = a.terms, b.terms
-    out = []
-    i = j = 0
-    while i < len(ta) and j < len(tb):
-        ea, eb = ta[i][0], tb[j][0]
-        if ea > eb:
-            out.append(ta[i])
-            i += 1
-        elif ea < eb:
-            out.append(tb[j])
-            j += 1
-        else:
-            s = ta[i][1] + tb[j][1]
-            if s:
-                out.append((ea, s))
-            i += 1
-            j += 1
-    out.extend(ta[i:])
-    out.extend(tb[j:])
-    return _make(tuple(out))
+    return _make(tuple(_merge_terms(a.terms, b.terms)))
 
 
 def neg(a: SurInteger) -> SurInteger:
@@ -194,15 +152,7 @@ def neg(a: SurInteger) -> SurInteger:
 def si_mul(a: SurInteger, b: SurInteger) -> SurInteger:
     """Distributive product with natural exponent sums; like terms collect
     and may cancel."""
-    if not a.terms or not b.terms:
-        return S_ZERO
-    bucket: dict = {}
-    for ea, ca in a.terms:
-        for eb, cb in b.terms:
-            e = nat_add(ea, eb)
-            bucket[e] = bucket.get(e, 0) + ca * cb
-    exps = sorted((e for e, c in bucket.items() if c), reverse=True)
-    return _make(tuple((e, bucket[e]) for e in exps))
+    return _make(_convolve_terms(a.terms, b.terms))
 
 
 def si_sub(a: SurInteger, b: SurInteger) -> SurInteger:
@@ -229,12 +179,6 @@ def si_compare(a: SurInteger, b: SurInteger) -> int:
     if i < len(tb):
         return LT if tb[i][1] > 0 else GT
     return EQ
-
-
-def is_positive(a: SurInteger) -> bool:
-    """Sign predicate with zero counted positive (the pair view puts (0,0)
-    on the non-negative side)."""
-    return si_compare(a, S_ZERO) >= 0
 
 
 def si_abs(a: SurInteger) -> SurInteger:

@@ -140,37 +140,23 @@ def from_surinteger(a: SurInteger) -> SurRational:
     return SurRational(a, S_ONE, reduced=True)
 
 
-def _monomial_content(a: SurInteger):
-    # largest exponent m such that w^m divides every term of a
-    dom = None
-    for e, _ in a.terms:
-        if dom is None:
-            dom = dict(e)
-        else:
-            dom = {
-                x: min(k, dom[x])
-                for x, k in e
-                if x in dom
-            }
-        if not dom:
+def _exp_min(x: Ordinal, y: Ordinal) -> Ordinal:
+    # componentwise min of two exponents read as monomials in the x_z:
+    # w^(w^z*k + ...) is x_z^k * ...; x's order is already decreasing
+    dy = dict(y)
+    return _make_ordinal(tuple((e, min(k, dy[e])) for e, k in x if e in dy))
+
+
+def _exp_diff(x: Ordinal, y: Ordinal):
+    # the monomial quotient x - y (nat_add(y, x - y) == x), or None when a
+    # component of y exceeds x's
+    left = dict(x)
+    for e, k in y:
+        have = left.get(e, 0)
+        if have < k:
             return None
-    if not dom:
-        return None
-    exps = sorted(dom, reverse=True)
-    return _make_ordinal(tuple((x, dom[x]) for x in exps))
-
-
-def _strip_monomial(a: SurInteger, m: Ordinal) -> SurInteger:
-    out = []
-    for e, c in a.terms:
-        left = dict(e)
-        for x, k in m:
-            left[x] -= k
-            if not left[x]:
-                del left[x]
-        exps = sorted(left, reverse=True)
-        out.append((_make_ordinal(tuple((x, left[x]) for x in exps)), c))
-    return _make(tuple(out))
+        left[e] = have - k
+    return _make_ordinal(tuple((e, left[e]) for e, _ in x if left[e]))
 
 
 def _light_reduce(num: SurInteger, den: SurInteger) -> SurRational:
@@ -181,21 +167,15 @@ def _light_reduce(num: SurInteger, den: SurInteger) -> SurRational:
     if g > 1:
         num = _make(tuple((e, c // g) for e, c in num.terms))
         den = _make(tuple((e, c // g) for e, c in den.terms))
-    m = _monomial_content(num)
-    md = _monomial_content(den)
-    if m is not None and md is not None:
-        shared = _min_exponent(m, md)
-        if shared:
-            num = _strip_monomial(num, shared)
-            den = _strip_monomial(den, shared)
+    shared = num.terms[0][0]
+    for e, _ in num.terms[1:] + den.terms:
+        if not shared:  # most pairs share nothing: stop at the first empty min
+            break
+        shared = _exp_min(shared, e)
+    if shared:
+        num = _make(tuple((_exp_diff(e, shared), c) for e, c in num.terms))
+        den = _make(tuple((_exp_diff(e, shared), c) for e, c in den.terms))
     return SurRational(num, den)
-
-
-def _min_exponent(x: Ordinal, y: Ordinal) -> Ordinal:
-    dx = dict(x)
-    out = {e: min(k, dx[e]) for e, k in y if e in dx}
-    exps = sorted(out, reverse=True)
-    return _make_ordinal(tuple((e, out[e]) for e in exps))
 
 
 def exact_divide(a: SurInteger, b: SurInteger):
@@ -223,21 +203,6 @@ def exact_divide(a: SurInteger, b: SurInteger):
         r = si_sub(r, si_mul(b, _make(((eq, cq),))))
     q = _make(tuple(quot))
     return q if si_mul(b, q) == a else NOT_DIVISIBLE
-
-
-def _exp_diff(er: Ordinal, eb: Ordinal):
-    # x with nat_add(eb, x) == er, or None
-    left = dict(er)
-    for e, k in eb:
-        have = left.get(e, 0)
-        if have < k:
-            return None
-        if have == k:
-            del left[e]
-        else:
-            left[e] = have - k
-    exps = sorted(left, reverse=True)
-    return _make_ordinal(tuple((e, left[e]) for e in exps))
 
 
 def reduce(p: SurRational) -> SurRational:

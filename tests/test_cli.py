@@ -3,9 +3,21 @@
 import io
 import json
 
+import pytest
+
+from transfinita import (
+    GaussianSurRational,
+    Ordinal,
+    OrdinalClass,
+    RootClassification,
+    SurInteger,
+    SurRational,
+)
 from transfinita.cli import main
 from transfinita.errors import Undefined
-from transfinita.expr import EvalError
+from transfinita.expr import CutHandle, EvalError, evaluate
+from transfinita.parser import parse
+from transfinita.printer import value_tree
 
 
 def run(capsys, *argv):
@@ -92,6 +104,39 @@ class TestBatch:
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert code == 1
         assert "value" in lines[0] and "error" in lines[1]
+
+    def test_internal_error_does_not_end_the_run(self, tmp_path, capsys):
+        # w ^^ 249 overflows the interpreter stack in the ordinal walkers
+        deep = tmp_path / "deep.txt"
+        deep.write_text("w ^^ 249\n1 + 1\n")
+        code, out, _ = run(capsys, "batch", str(deep))
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert code == 1 and len(lines) == 2
+        assert lines[0]["error"]["kind"] == "internal" and "value" not in lines[0]
+        assert lines[0]["error"]["message"].startswith("RecursionError")
+        assert lines[1]["canonical"] == "2"
+
+
+VALUE_KINDS = [
+    ("w + 1", Ordinal, "ordinal", "ordinal"),
+    ("-w", SurInteger, "surinteger", "surinteger"),
+    ("1/w", SurRational, "surrational", "surrational"),
+    ("(1, 2)", GaussianSurRational, "gaussian", "gaussian"),
+    ("member(sqrt[2](4), 1)", bool, "boolean", "bool"),
+    ("classify(w)", OrdinalClass, "classification", "classification"),
+    ("classify(sqrt[2](4))", RootClassification, "classification", "root-classification"),
+    ("sqrt[2](2)", CutHandle, "cut", "cut"),
+]
+
+
+@pytest.mark.parametrize("text,cls,word,tag", VALUE_KINDS)
+def test_type_word_and_tree_tag(monkeypatch, capsys, text, cls, word, tag):
+    v = evaluate(parse(text))
+    assert type(v) is cls and value_tree(v)["type"] == tag
+    feed = iter([f":type {text}", ":quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
+    assert main(["repl"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == word
 
 
 class TestRepl:

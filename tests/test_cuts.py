@@ -29,13 +29,19 @@ from transfinita import (
     q_eq,
     q_mul,
 )
-from transfinita.cuts import _int_nth_root, _q_pow, _si_nth_root, rational_cut_bump
+from transfinita.cuts import _int_nth_root, _q_pow, _si_nth_root
 from transfinita.surinteger import SurInteger, si_add, si_scale
-from transfinita.surrational import Q_ZERO, SurRational, q_from_int, reduce
+from transfinita.surrational import Q_ZERO, SurRational, midpoint, q_from_int, reduce
 
 from conftest import o, q, si, surrationals
 
 WW = None
+
+
+def rational_cut_bump(cut: RationalCut, p: SurRational) -> SurRational:
+    """A member strictly above member ``p``: the midpoint towards the cut
+    value, witnessing that the left set has no greatest element."""
+    return midpoint(p, cut.q)
 
 
 def setup_module():

@@ -1,0 +1,70 @@
+"""Layout rule: no public function or class in the package is dead weight.
+
+Every public top-level function or class defined in ``src/transfinita`` must
+be exported from the package, used somewhere else in the package, or
+imported by the benchmark in ``bench/``.  Code that only tests use belongs
+under ``tests/``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "transfinita"
+BENCH = ROOT / "bench"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported_names(tree: ast.AST, package_only: bool) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if package_only and not (node.module or "").startswith("transfinita"):
+                continue
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _used_names(tree: ast.AST, skip) -> set:
+    """Names read, as bare names, attributes or imports, outside ``skip``."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _orphans() -> list:
+    modules = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))}
+    exported = _imported_names(modules.pop("__init__"), package_only=False)
+    bench = set()
+    for path in BENCH.glob("*.py"):
+        bench |= _imported_names(_parse(path), package_only=True)
+    out = []
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") or name in exported or name in bench:
+                continue
+            if any(name in _used_names(t, node) for t in modules.values()):
+                continue
+            out.append(f"{mod}.{name}")
+    return out
+
+
+def test_every_public_definition_is_used():
+    assert _orphans() == []

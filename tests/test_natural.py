@@ -13,6 +13,7 @@ from transfinita import (
     ClosureKind,
     NotRepresentable,
     Ordinal,
+    SurInteger,
     Undefined,
     compare,
     is_closure_number,
@@ -22,11 +23,50 @@ from transfinita import (
     next_closure,
     rec_add,
     rec_mul,
+    rec_pow,
+    si_add,
+    si_mul,
 )
-from transfinita.natural import closure_counterexample
+from transfinita.oracle import random_ordinal_below
 from transfinita.ordinal import validate
 
 from conftest import o, ordinals
+
+
+def closure_counterexample(kind: ClosureKind, a: Ordinal, rng, tries: int = 40):
+    """Bounded random refuter for the structural decision.
+
+    Samples witnesses below ``a`` and checks the defining condition,
+    returning a violating pair (or single ordinal for absorption kinds)
+    if one is found, else None.  Cross-checks :func:`is_closure_number`
+    in both directions.
+    """
+    if not a:
+        return None
+    for _ in range(tries):
+        b = random_ordinal_below(a, rng)
+        if kind is ClosureKind.GAMMA_ADD:
+            if rec_add(b, a) != a:
+                return b
+        elif kind is ClosureKind.DELTA_MUL:
+            if b.is_zero:
+                continue
+            if rec_mul(b, a) != a:
+                return b
+        elif kind is ClosureKind.EPSILON_EXP:
+            if b <= ONE:
+                continue
+            if rec_pow(b, a) != a:
+                return b
+        elif kind is ClosureKind.NAT_ADD:
+            c = random_ordinal_below(a, rng)
+            if nat_add(b, c) >= a:
+                return (b, c)
+        else:  # NAT_MUL
+            c = random_ordinal_below(a, rng)
+            if nat_mul(b, c) >= a:
+                return (b, c)
+    return None
 
 
 class TestNatAdd:
@@ -160,6 +200,16 @@ class TestClosurePredicates:
         ]:
             assert not is_closure_number(kind, value)
             assert closure_counterexample(kind, value, rng, tries=400) is not None
+
+
+class TestSharedTermKernel:
+    @given(ordinals(), ordinals())
+    def test_natural_ops_are_the_surinteger_ring_ops(self, a, b):
+        # an ordinal is a surinteger with positive coefficients, and the
+        # natural sum and product are its ring operations
+        sa, sb = SurInteger.from_ordinal(a), SurInteger.from_ordinal(b)
+        assert tuple(nat_add(a, b)) == si_add(sa, sb).terms
+        assert tuple(nat_mul(a, b)) == si_mul(sa, sb).terms
 
 
 class TestNextClosure:

@@ -5,15 +5,13 @@ import random
 
 import pytest
 
-from transfinita import FragmentExceeded, rec_add, rec_mul, rec_pow
+from transfinita import FragmentExceeded, nat_add, nat_mul, rec_add, rec_mul, rec_pow
 from transfinita.oracle import (
     SmallOrdinal,
     def_rec_add,
     def_rec_mul,
     def_rec_pow,
-    gen_random,
-    pair_add,
-    pair_mul,
+    random_gaussian,
     random_ordinal,
     random_ordinal_below,
     random_surinteger,
@@ -22,6 +20,33 @@ from transfinita.oracle import (
 from transfinita.ordinal import compare, validate
 from transfinita.surinteger import CoordinateForm, from_coordinates, si_add, si_mul
 from transfinita.surrational import SurRational
+
+
+def pair_add(x: tuple, y: tuple) -> tuple:
+    """Componentwise natural sum on raw (ordinal, ordinal) pairs."""
+    return (nat_add(x[0], y[0]), nat_add(x[1], y[1]))
+
+
+def pair_mul(x: tuple, y: tuple) -> tuple:
+    """Sign-rule product on raw pairs: first coordinate collects the mixed
+    products, second the matching ones."""
+    first = nat_add(nat_mul(x[0], y[1]), nat_mul(x[1], y[0]))
+    second = nat_add(nat_mul(x[0], y[0]), nat_mul(x[1], y[1]))
+    return (first, second)
+
+
+_GENERATORS = {
+    "ordinal": random_ordinal,
+    "surinteger": random_surinteger,
+    "surrational": random_surrational,
+    "gaussian": random_gaussian,
+}
+
+
+def gen_random(kind: str, rng, **bounds):
+    """Seeded generator dispatch; ``kind`` is one of ordinal, surinteger,
+    surrational, gaussian."""
+    return _GENERATORS[kind](rng, **bounds)
 
 
 class TestDefinitionalRecursion:

@@ -34,14 +34,20 @@ from transfinita.oracle import (
     random_surrational,
 )
 from transfinita.ordinal import OrdinalClass
-from transfinita.printer import (
-    ordinal_from_tree,
-    ordinal_tree,
-    surrational_from_tree,
-    surrational_tree,
-)
+from transfinita.ordinal import _make as _make_ordinal
+from transfinita.printer import ordinal_tree, surrational_tree
+from transfinita.surinteger import _make as _make_si
+from transfinita.surrational import SurRational
 
 from conftest import o, q, si
+
+
+def terms_from_tree(tree: dict) -> tuple:
+    """Inverse of ``ordinal_tree``: the term sequence of an ordinal or of a
+    surinteger."""
+    return tuple(
+        (_make_ordinal(terms_from_tree(t["exp"])), int(t["coeff"])) for t in tree["terms"]
+    )
 
 
 def ev(text):
@@ -204,11 +210,13 @@ class TestJsonTrees:
     def test_ordinal_coefficients_are_strings(self):
         t = ordinal_tree(o("w^2*3 + 1"))
         assert t["terms"][0]["coeff"] == "3"
-        assert ordinal_from_tree(t) == o("w^2*3 + 1")
+        assert _make_ordinal(terms_from_tree(t)) == o("w^2*3 + 1")
 
     def test_surrational_tree_round_trip(self):
         p = q("(w*3 - 2) / (w^2 + 1)")
-        assert surrational_from_tree(surrational_tree(p)) == p
+        t = surrational_tree(p)
+        num, den = (_make_si(terms_from_tree(t[k])) for k in ("num", "den"))
+        assert SurRational(num, den, reduced=t["reduced"]) == p
 
     def test_value_tree_tags(self):
         assert value_tree(True) == {"type": "bool", "value": True}

@@ -20,11 +20,18 @@ from transfinita import (
     si_add,
     si_compare,
     si_mul,
+    si_sub,
     to_coordinates,
 )
-from transfinita.surinteger import S_ONE, S_ZERO, is_positive, si_abs, validate
+from transfinita.surinteger import S_ONE, S_ZERO, si_abs, validate
 
-from conftest import o, si, surintegers
+from conftest import o, ordinals, si, surintegers
+
+
+def is_positive(a: SurInteger) -> bool:
+    """Sign predicate with zero counted positive (the pair view puts (0,0)
+    on the non-negative side)."""
+    return si_compare(a, S_ZERO) >= 0
 
 
 class TestCoordinates:
@@ -55,6 +62,16 @@ class TestCoordinates:
         neg_exps = {e for e, _ in c.negative.terms}
         pos_exps = {e for e, _ in c.positive.terms}
         assert not (neg_exps & pos_exps)
+
+    @given(surintegers(depth=3, max_terms=6, max_coeff=50))
+    def test_round_trip_wide(self, a):
+        assert from_coordinates(to_coordinates(a)) == a
+
+    @given(ordinals(), ordinals())
+    def test_overlapping_pair_balances(self, n, p):
+        # shared exponents of the two parts cancel coefficientwise
+        expected = si_sub(SurInteger.from_ordinal(p), SurInteger.from_ordinal(n))
+        assert from_coordinates(CoordinateForm(n, p)) == expected
 
 
 class TestAddNeg:

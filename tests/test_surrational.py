@@ -1,6 +1,9 @@
 """The ordered field of surinteger fractions."""
 
+from math import gcd
+
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given
 
 from transfinita import (
@@ -28,9 +31,111 @@ from transfinita import (
     reduce,
     si_mul,
 )
-from transfinita.surrational import Q_ONE, Q_ZERO, q_from_int, q_sub
+from transfinita.ordinal import _make as _make_ordinal
+from transfinita.surinteger import S_ONE, S_ZERO, _make as _make_si, content, si_sub
+from transfinita.surrational import Q_ONE, Q_ZERO, _light_reduce, q_from_int, q_sub
 
-from conftest import o, q, si, surintegers, surrationals
+from conftest import o, ordinals, q, si, surintegers, surrationals
+
+
+# Reference: the dict-based monomial helpers (content, strip, min, diff) and
+# the two routines built on them, as they stood before the monomial ops were
+# merged.  Exponents read as monomials: w^(w^z*k + ...) is x_z^k * ...
+
+
+def _ref_monomial_content(a):
+    dom = None
+    for e, _ in a.terms:
+        if dom is None:
+            dom = dict(e)
+        else:
+            dom = {x: min(k, dom[x]) for x, k in e if x in dom}
+        if not dom:
+            return None
+    exps = sorted(dom, reverse=True)
+    return _make_ordinal(tuple((x, dom[x]) for x in exps))
+
+
+def _ref_strip_monomial(a, m):
+    out = []
+    for e, c in a.terms:
+        left = dict(e)
+        for x, k in m:
+            left[x] -= k
+            if not left[x]:
+                del left[x]
+        exps = sorted(left, reverse=True)
+        out.append((_make_ordinal(tuple((x, left[x]) for x in exps)), c))
+    return _make_si(tuple(out))
+
+
+def _ref_min_exponent(x, y):
+    dx = dict(x)
+    out = {e: min(k, dx[e]) for e, k in y if e in dx}
+    exps = sorted(out, reverse=True)
+    return _make_ordinal(tuple((e, out[e]) for e in exps))
+
+
+def _ref_exp_diff(er, eb):
+    left = dict(er)
+    for e, k in eb:
+        have = left.get(e, 0)
+        if have < k:
+            return None
+        if have == k:
+            del left[e]
+        else:
+            left[e] = have - k
+    exps = sorted(left, reverse=True)
+    return _make_ordinal(tuple((e, left[e]) for e in exps))
+
+
+def _ref_light_reduce(num, den):
+    if num.is_zero:
+        return SurRational(S_ZERO, S_ONE)
+    g = gcd(content(num), content(den))
+    if g > 1:
+        num = _make_si(tuple((e, c // g) for e, c in num.terms))
+        den = _make_si(tuple((e, c // g) for e, c in den.terms))
+    m = _ref_monomial_content(num)
+    md = _ref_monomial_content(den)
+    if m is not None and md is not None:
+        shared = _ref_min_exponent(m, md)
+        if shared:
+            num = _ref_strip_monomial(num, shared)
+            den = _ref_strip_monomial(den, shared)
+    return SurRational(num, den)
+
+
+def _ref_exact_divide(a, b):
+    if a.is_zero:
+        return S_ZERO
+    eb, cb = b.terms[0]
+    quot = []
+    r = a
+    while r.terms:
+        er, cr = r.terms[0]
+        eq = _ref_exp_diff(er, eb)
+        if eq is None or cr % cb:
+            return NOT_DIVISIBLE
+        cq = cr // cb
+        quot.append((eq, cq))
+        r = si_sub(r, si_mul(b, _make_si(((eq, cq),))))
+    quo = _make_si(tuple(quot))
+    return quo if si_mul(b, quo) == a else NOT_DIVISIBLE
+
+
+def _wide():
+    return surintegers(depth=3, max_terms=6, max_coeff=40)
+
+
+def _monomials():
+    # w^m for a random exponent m (m = 0 gives 1, no shared monomial)
+    return ordinals(depth=2, max_terms=3, max_coeff=4).map(lambda m: _make_si(((m, 1),)))
+
+
+def _same(got, ref):
+    return all(getattr(got, k) == getattr(ref, k) for k in ("num", "den", "reduced"))
 
 
 class TestEquality:
@@ -158,6 +263,37 @@ class TestReduce:
     @given(surrationals())
     def test_value_preserved(self, p):
         assert q_eq(reduce(p), p)
+
+
+class TestMonomialOps:
+    @given(_wide(), _wide(), _monomials(), _monomials(), _monomials())
+    def test_light_reduce_matches_reference(self, num, den, m, mn, md):
+        if den.is_zero:
+            return
+        # m is shared by both sides; mn and md may overlap it or each other
+        num = si_mul(si_mul(num, m), mn)
+        den = si_mul(si_mul(den, m), md)
+        assert _same(_light_reduce(num, den), _ref_light_reduce(num, den))
+
+    @given(_wide(), _wide(), st.integers(1, 6))
+    def test_light_reduce_with_content_and_monomial(self, num, den, k):
+        if den.is_zero:
+            return
+        shift = _make_si(((o(f"w^{k}*2 + w + {k}"), 6),))
+        num, den = si_mul(num, shift), si_mul(den, shift)
+        assert _same(_light_reduce(num, den), _ref_light_reduce(num, den))
+
+    @given(_wide(), _wide(), _wide(), _monomials())
+    def test_exact_divide_matches_reference(self, a, b, c, m):
+        if b.is_zero:
+            return
+        b = si_mul(b, m)
+        for x in (a, si_mul(a, m), si_mul(b, c)):
+            got, ref = exact_divide(x, b), _ref_exact_divide(x, b)
+            if ref is NOT_DIVISIBLE:
+                assert got is NOT_DIVISIBLE
+            else:
+                assert got.terms == ref.terms
 
 
 class TestExactDivide:
