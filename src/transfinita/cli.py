@@ -128,11 +128,16 @@ def _record(line: str, env, ctx, ambient, use_oracle) -> dict:
     except TransfinitaError as err:
         rec["error"] = {"kind": type(err).__name__, "message": str(err)}
     except Exception as err:  # a defect, not a user error: report it, keep going
-        import traceback  # loaded only when a defect needs it, not at start-up
-
-        traceback.print_exc(limit=-4)
-        rec["error"] = {"kind": "internal", "message": f"{type(err).__name__}: {err}"}
+        rec["error"] = {"kind": "internal", "message": _defect_message(err)}
     return rec
+
+
+def _defect_message(err: Exception) -> str:
+    """Print the defect's traceback to stderr; return its one-line text."""
+    import traceback  # loaded only when a defect needs it, not at start-up
+
+    traceback.print_exc(limit=-4)
+    return f"{type(err).__name__}: {err}"
 
 
 def _cmd_eval(args, ctx) -> int:
@@ -234,6 +239,8 @@ def _cmd_repl(args, ctx) -> int:
             print(f"parse error: {err.diagnostic}", file=sys.stderr)
         except TransfinitaError as err:
             print(f"error: {err}", file=sys.stderr)
+        except Exception as err:  # a defect: report it, keep the session
+            print(f"error: internal: {_defect_message(err)}", file=sys.stderr)
 
 
 def main(argv=None) -> int:

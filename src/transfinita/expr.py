@@ -307,6 +307,8 @@ def _funcapp(e: FuncApp, env, ctx, ambient) -> Value:
     args = [evaluate(a, env, ctx, ambient) for a in e.args]
     try:
         if e.name == "complex":
+            if len(args) != 2:
+                raise Undefined("complex takes a real part and an imaginary part")
             return GaussianSurRational(as_surrational(args[0]), as_surrational(args[1]))
         if e.name == "sqrt":
             if len(args) != 2:

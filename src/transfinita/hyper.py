@@ -36,7 +36,6 @@ from .ordinal import (
     ZERO,
     Ordinal,
     OrdinalClass,
-    _guard_pow,
     _make,
     classify,
     depth,
@@ -132,8 +131,8 @@ def _finite_index(n: int, a: Ordinal, b: Ordinal, ctx: EvalContext) -> Ordinal:
             return ONE if int(b) % 2 == 0 else ZERO
         return ONE
     if b.is_finite:
-        if a.is_finite:
-            return Ordinal(_finite_hyper_int(n, int(a), int(b), ctx))
+        # values are monotone in b, so on finite arguments the digit guard in
+        # rec_pow fires after a handful of steps on anything that cannot fit
         v = a
         for _ in range(int(b) - 1):
             v = hyperop(n - 1, a, v, ctx)
@@ -141,40 +140,6 @@ def _finite_index(n: int, a: Ordinal, b: Ordinal, ctx: EvalContext) -> Ordinal:
     if classify(b) is OrdinalClass.SUCCESSOR:
         return hyperop(n - 1, a, hyperop(n, a, predecessor(b), ctx), ctx)
     return _sup_over_limit(lambda k, c: hyperop(n, a, fundamental_sequence(b, k), c), ctx)
-
-
-def _finite_hyper_int(n: int, m: int, x: int, ctx: EvalContext) -> int:
-    # n >= 4, m >= 2, x >= 2; values are monotone so the digit guard fires
-    # after a handful of steps on anything that cannot fit.
-    if n == 4:
-        v = m
-        for _ in range(x - 1):
-            v = _guard_pow(m, v, ctx.max_digits)
-        return v
-    v = m
-    for _ in range(x - 1):
-        v = _int_hyper(n - 1, m, v, ctx)
-    return v
-
-
-def _int_hyper(i: int, m: int, x: int, ctx: EvalContext) -> int:
-    if i == 0:
-        return m + 1
-    if i == 1:
-        return m + x
-    if i == 2:
-        return m * x
-    if i == 3:
-        return _guard_pow(m, x, ctx.max_digits)
-    if m == 0:
-        return 1 if x % 2 == 0 else 0
-    if m == 1:
-        return 1
-    if x == 0:
-        return 1
-    if x == 1:
-        return m
-    return _finite_hyper_int(i, m, x, ctx)
 
 
 def _omega_index(a: Ordinal, b: Ordinal, ctx: EvalContext) -> Ordinal:

@@ -259,15 +259,15 @@ def _inc_exp(x: Ordinal) -> Ordinal:
     return x
 
 
-def _ord_int_pow(a: Ordinal, n: int) -> Ordinal:
-    # a**n by binary exponentiation; powers of one ordinal commute.
-    result, base = ONE, a
+def _binary_pow(a, n: int, mul, one):
+    # a**n by square-and-multiply in (mul, one); powers of one element commute.
+    result, base = one, a
     while n:
         if n & 1:
-            result = rec_mul(result, base)
+            result = mul(result, base)
         n >>= 1
         if n:
-            base = rec_mul(base, base)
+            base = mul(base, base)
     return result
 
 
@@ -303,9 +303,9 @@ def rec_pow(a: Ordinal, b: Ordinal, max_digits: int = DEFAULT_MAX_DIGITS) -> Ord
     if limit:
         head = _make(((rec_mul(za, limit), 1),))
         if finite_part:
-            return rec_mul(head, _ord_int_pow(a, finite_part))
+            return rec_mul(head, _binary_pow(a, finite_part, rec_mul, ONE))
         return head
-    return _ord_int_pow(a, finite_part)
+    return _binary_pow(a, finite_part, rec_mul, ONE)
 
 
 def rec_sum(seq: Sequence[Ordinal], n: int) -> Ordinal:

@@ -84,9 +84,9 @@ def tokenize(source: str) -> list:
             col += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             tokens.append(Token("num", source[i:j], line, start_col))
             col += j - i

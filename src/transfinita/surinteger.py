@@ -30,8 +30,8 @@ from .ordinal import (
     Ordinal,
     validate as validate_ordinal,
 )
+from .ordinal import _binary_pow, _term_str
 from .ordinal import _make as _make_ordinal
-from .ordinal import _term_str
 
 
 class SurInteger:
@@ -110,6 +110,8 @@ def validate(a: SurInteger) -> None:
         raise ValueError(f"not a SurInteger: {a!r}")
     prev = None
     for t in a.terms:
+        if not (isinstance(t, tuple) and len(t) == 2):
+            raise ValueError(f"bad term {t!r}")
         e, c = t
         if not isinstance(c, int) or isinstance(c, bool) or c == 0:
             raise ValueError(f"coefficient must be a nonzero int, got {c!r}")
@@ -188,14 +190,7 @@ def si_abs(a: SurInteger) -> SurInteger:
 def si_pow(a: SurInteger, n: int) -> SurInteger:
     if n < 0:
         raise Undefined("surinteger powers take natural exponents")
-    result, base = S_ONE, a
-    while n:
-        if n & 1:
-            result = si_mul(result, base)
-        n >>= 1
-        if n:
-            base = si_mul(base, base)
-    return result
+    return _binary_pow(a, n, si_mul, S_ONE)
 
 
 def si_scale(a: SurInteger, k: int) -> SurInteger:

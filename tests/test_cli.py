@@ -27,6 +27,18 @@ def run(capsys, *argv):
 
 
 class TestEval:
+    @pytest.mark.parametrize("source", ["complex(1)", "complex()", "complex(1, 2, 3)"])
+    def test_complex_arity(self, capsys, source):
+        code, out, _ = run(capsys, "--json", "eval", source)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "Undefined",
+            "operation": "complex",
+            "message": "complex takes a real part and an imaginary part",
+            "line": 1,
+            "col": 1,
+        }
+
     def test_canonical_output(self, capsys):
         code, out, _ = run(capsys, "eval", "1 +. w")
         assert code == 0 and out.strip() == "w"
@@ -178,6 +190,13 @@ class TestRepl:
         assert code == 0
         assert "parse error" in err and "NotRepresentable" in err
         assert "4" in out
+
+    def test_defects_do_not_kill_the_loop(self, monkeypatch, capsys):
+        # past the recursion ceiling: an internal error, not the end of the session
+        code, out, err = self._run_repl(monkeypatch, capsys, ["w ^^ 249", "1 + 1", ":quit"])
+        assert code == 0
+        assert "error: internal: RecursionError" in err
+        assert out.splitlines()[-1] == "2"
 
     def test_eof_ends_session(self, monkeypatch, capsys):
         def raise_eof(prompt=""):

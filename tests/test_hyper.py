@@ -28,6 +28,7 @@ from transfinita import (
     tetration,
 )
 from transfinita.oracle import random_ordinal_below
+from transfinita.ordinal import _guard_pow
 
 from conftest import o, ordinals
 
@@ -96,6 +97,44 @@ class TestFiniteIndexTowers:
             hyperop(4, Ordinal(3), Ordinal(4), EvalContext(max_digits=1000))
         with pytest.raises(ResourceExceeded):
             hyperop(5, Ordinal(3), Ordinal(3), EvalContext(max_digits=10**6))
+
+
+# H[i](m, x) unfolded on plain ints for i >= 3: the reference for the one
+# Ordinal recursion that hyperop runs on finite and transfinite arguments.
+def _ref_hyper_int(i, m, x, max_digits):
+    if i == 3:
+        return _guard_pow(m, x, max_digits)
+    if m == 0:
+        return 1 if x % 2 == 0 else 0
+    if m == 1:
+        return 1
+    if x == 0:
+        return 1
+    if x == 1:
+        return m
+    v = m
+    for _ in range(x - 1):
+        v = _ref_hyper_int(i - 1, m, v, max_digits)
+    return v
+
+
+def _outcome(fn):
+    try:
+        return ("value", fn())
+    except Exception as err:
+        return (type(err), str(err))
+
+
+class TestIntegerReference:
+    @pytest.mark.parametrize("max_digits", [1, 20, 10**5, 10**6])
+    def test_finite_arguments_match_integer_recursion(self, max_digits):
+        ctx = EvalContext(max_digits=max_digits)
+        for n in range(4, 8):
+            for m in range(7):
+                for k in range(7):
+                    got = _outcome(lambda: int(hyperop(n, Ordinal(m), Ordinal(k), ctx)))
+                    want = _outcome(lambda: _ref_hyper_int(n, m, k, max_digits))
+                    assert got == want, (n, m, k, max_digits)
 
 
 class TestTetration:

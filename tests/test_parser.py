@@ -25,6 +25,7 @@ from transfinita.expr import (
     NatLiteral,
     Omega,
     UnaryNeg,
+    Var,
     evaluate,
 )
 from transfinita.oracle import (
@@ -116,6 +117,15 @@ class TestDiagnostics:
     def test_wrong_hyper_arity(self):
         _, diag = try_parse("H[2](1)")
         assert diag is not None
+
+    def test_superscript_digits_are_not_numbers(self):
+        for source, col in (("²", 1), ("1+²", 3)):
+            with pytest.raises(ParseError) as err:
+                parse(source)
+            d = err.value.diagnostic
+            assert (d.message, d.line, d.col) == ("unexpected character '²'", 1, col)
+        assert ev("٣+1") == Ordinal(4)  # other decimal scripts still count
+        assert parse("x²") == Var("x²")
 
 
 class TestEvaluation:

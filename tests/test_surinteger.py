@@ -9,6 +9,7 @@ from transfinita import (
     LT,
     NOT_CYCLIC,
     OMEGA,
+    ZERO,
     CoordinateForm,
     InvalidLambda,
     Ordinal,
@@ -216,3 +217,10 @@ class TestCyclicity:
             assert (SurInteger(count) if sign == "+" else SurInteger(-count)) == a
         else:
             assert out is NOT_CYCLIC
+
+
+class TestValidate:
+    @pytest.mark.parametrize("terms", [[5], [(ZERO, 1, 2)], [None], [(ZERO,)]])
+    def test_malformed_terms(self, terms):
+        with pytest.raises(ValueError, match="bad term"):
+            SurInteger.from_terms(terms)
