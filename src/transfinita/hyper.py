@@ -48,6 +48,7 @@ from .ordinal import (
 
 # intermediate samples inside a supremum never need more room than this
 _SUP_SAMPLE_DIGITS = 10**6
+_TWO, _FOUR = Ordinal(2), Ordinal(4)
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,18 @@ def _finite_index(n: int, a: Ordinal, b: Ordinal, ctx: EvalContext) -> Ordinal:
             return ONE if int(b) % 2 == 0 else ZERO
         return ONE
     if b.is_finite:
+        if a.is_finite:
+            # Two finite shapes whose unfolding by the index alone would nest
+            # n - 3 calls deep: go straight to where it ends.
+            m = int(a)
+            if m == 2 and b == _TWO:
+                return rec_pow(a, b, ctx.max_digits)  # H[n](2, 2) = 2^2 = 4
+            if n >= 6:
+                # H[n](m, k) >= H[6](2, 3) = 2^^65536, past every digit
+                # budget.  The unfolding fails first inside H[5](m, m), or
+                # H[5](2, 4) for m = 2, so raise that error.
+                hyperop(5, a, _FOUR if m == 2 else a, ctx)
+                raise ResourceExceeded(f"H[{n}]({m}, {int(b)}) is past every digit budget")
         # values are monotone in b, so on finite arguments the digit guard in
         # rec_pow fires after a handful of steps on anything that cannot fit
         v = a

@@ -297,8 +297,11 @@ def rec_pow(a: Ordinal, b: Ordinal, max_digits: int = DEFAULT_MAX_DIGITS) -> Ord
         if finite_part:
             return rec_mul(head, Ordinal(_guard_pow(m, finite_part, max_digits)))
         return head
-    # transfinite base: a^(limit part) collapses to a single omega power
     za = a[0][0]
+    if len(a) == 1 and a[0][1] == 1:
+        # (w^z)^b = w^(z*b): one term, whatever b is
+        return _make(((b if za == ONE else rec_mul(za, b), 1),))
+    # transfinite base: a^(limit part) collapses to a single omega power
     limit = _make(b[:-1]) if finite_part else b
     if limit:
         head = _make(((rec_mul(za, limit), 1),))

@@ -15,6 +15,11 @@ Grammar (EBNF; the README carries the same table):
     args    = [ expr { "," expr } ] ;
     NUMBER  = digit { digit } ;                          (* decimal only *)
 
+Lexical rules: NUMBER is a run of Unicode decimal digits (``str.isdecimal``);
+an identifier is a letter (``str.isalpha``) or ``_``, then letters, digits or
+``_`` (``str.isalnum``); whitespace separates tokens, and a newline advances
+the line and restarts the column.
+
 Every malformed input raises :class:`ParseError` carrying a
 :class:`Diagnostic` with line, column and the expected-token set; the parser
 never lets any other exception escape.
@@ -22,6 +27,7 @@ never lets any other exception escape.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .expr import (
@@ -55,186 +61,154 @@ class ParseError(Exception):
         super().__init__(str(diagnostic))
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "ident" | "op" | "end"
-    text: str
-    line: int
-    col: int
-
-
-_TWO_CHAR = ("+.", "-.", "*.", "^^")
-_ONE_CHAR = "+-*/^()[],"
+# One match per token.  Blanks before a token are skipped: every blank but
+# "\n", which counts lines.  Every other character is a number, a name, an
+# operator, or unexpected (the last group), so the match never backtracks
+# into the blanks and the end of the text always ends the scan.  "\w" also
+# admits numeric characters such as "²" and "½", so a name's first character
+# is checked with str.isalpha.
+_TOKEN = re.compile(
+    r"[^\S\n]*(?:(\d+)|([^\W\d]\w*)|(\+\.|-\.|\*\.|\^\^|[-+*/^()\[\],])|(\n)|(\Z)|(\S))"
+)
+_KINDS = (None, "num", "ident", "op")
 
 
 def tokenize(source: str) -> list:
+    """``(kind, text, line, col)`` tuples, kind one of "num", "ident", "op",
+    ending with one ``("end", "", line, col)`` token."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    append = tokens.append
+    line, before = 1, -1  # before: index of the character before the line
+    for m in _TOKEN.finditer(source):
+        i = m.lastindex
+        if i < 4 and (i != 2 or m[2][0].isalpha() or m[2][0] == "_"):
+            append((_KINDS[i], m[i], line, m.start(i) - before))
+        elif i == 4:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdecimal():
-            j = i
-            while j < n and source[j].isdecimal():
-                j += 1
-            tokens.append(Token("num", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = source[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("op", two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("op", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(Diagnostic(f"unexpected character {ch!r}", line, col))
-    tokens.append(Token("end", "", line, col))
+            before = m.start(4)
+        elif i == 5:
+            break
+        else:  # an unexpected character, or a name that starts with one
+            raise ParseError(Diagnostic(
+                f"unexpected character {m[i][0]!r}", line, m.start(i) - before
+            ))
+    append(("end", "", line, len(source) - before))
     return tokens
 
 
-_SUM_OPS = ("+", "-", "+.", "-.")
-_PROD_OPS = ("*", "*.", "/")
-_POW_OPS = ("^", "^^")
+_SUM_OPS = frozenset(("+", "-", "+.", "-."))
+_PROD_OPS = frozenset(("*", "*.", "/"))
+_POW_OPS = frozenset(("^", "^^"))
 
 
 class _Parser:
+    # Tokens are compared by text alone: an operator's text is never a
+    # name's or a number's, and the end token's is "".
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != "end":
-            self.pos += 1
-        return t
-
     def fail(self, message: str, expected=()):
-        t = self.peek()
-        raise ParseError(Diagnostic(message, t.line, t.col, tuple(expected)))
+        _, _, line, col = self.tokens[self.pos]
+        raise ParseError(Diagnostic(message, line, col, tuple(expected)))
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.kind == "op" and t.text == text:
-            return self.advance()
-        got = t.text or "end of input"
-        self.fail(f"unexpected {got!r}", expected=(repr(text),))
-
-    def parse_expr(self) -> Expr:
-        return self.parse_sum()
+    def expect(self, text: str) -> None:
+        got = self.tokens[self.pos][1]
+        if got != text:
+            self.fail(f"unexpected {got or 'end of input'!r}", expected=(repr(text),))
+        self.pos += 1
 
     def parse_sum(self) -> Expr:
         lhs = self.parse_product()
-        while self.peek().kind == "op" and self.peek().text in _SUM_OPS:
-            op = self.advance()
-            rhs = self.parse_product()
-            lhs = BinOp(op.text, lhs, rhs, span=(op.line, op.col))
+        t = self.tokens[self.pos]
+        while t[1] in _SUM_OPS:
+            self.pos += 1
+            lhs = BinOp(t[1], lhs, self.parse_product(), span=t[2:])
+            t = self.tokens[self.pos]
         return lhs
+
+    parse_expr = parse_sum
 
     def parse_product(self) -> Expr:
         lhs = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in _PROD_OPS:
-            op = self.advance()
-            rhs = self.parse_unary()
-            lhs = BinOp(op.text, lhs, rhs, span=(op.line, op.col))
+        t = self.tokens[self.pos]
+        while t[1] in _PROD_OPS:
+            self.pos += 1
+            lhs = BinOp(t[1], lhs, self.parse_unary(), span=t[2:])
+            t = self.tokens[self.pos]
         return lhs
 
     def parse_unary(self) -> Expr:
         # unary minus binds looser than the power operators: -w^2 = -(w^2)
-        t = self.peek()
-        if t.kind == "op" and t.text == "-":
-            self.advance()
-            return UnaryNeg(self.parse_unary(), span=(t.line, t.col))
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
+        t = self.tokens[self.pos]
+        if t[1] == "-":
+            self.pos += 1
+            return UnaryNeg(self.parse_unary(), span=t[2:])
         lhs = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text in _POW_OPS:
-            op = self.advance()
-            rhs = self.parse_unary()  # right associative
-            return BinOp(op.text, lhs, rhs, span=(op.line, op.col))
+        t = self.tokens[self.pos]
+        if t[1] in _POW_OPS:
+            self.pos += 1
+            return BinOp(t[1], lhs, self.parse_unary(), span=t[2:])  # right assoc
         return lhs
 
     def parse_atom(self) -> Expr:
-        t = self.peek()
-        span = (t.line, t.col)
-        if t.kind == "num":
-            self.advance()
-            return NatLiteral(int(t.text), span=span)
-        if t.kind == "ident":
-            self.advance()
-            if t.text == "w":
+        kind, text, line, col = self.tokens[self.pos]
+        span = (line, col)
+        if kind == "num":
+            self.pos += 1
+            try:
+                value = int(text)
+            except ValueError:  # longer than the interpreter's int-string limit
+                raise ParseError(Diagnostic(
+                    f"number literal is too long ({len(text)} digits)", line, col
+                )) from None
+            return NatLiteral(value, span=span)
+        if kind == "ident":
+            self.pos += 1
+            if text == "w":
                 return Omega(span=span)
-            if t.text == "eps0":
+            if text == "eps0":
                 return Eps0Sentinel(span=span)
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "[":
-                self.advance()
+            nxt = self.tokens[self.pos][1]
+            if nxt == "[":
+                self.pos += 1
                 bracket = self.parse_expr()
                 self.expect("]")
                 self.expect("(")
                 args = self.parse_args()
                 self.expect(")")
-                if t.text == "H":
+                if text == "H":
                     if len(args) != 2:
                         self.fail("H[...] takes exactly two arguments")
                     return HyperApp(bracket, args[0], args[1], span=span)
-                return FuncApp(t.text, (bracket, *args), span=span)
-            if nxt.kind == "op" and nxt.text == "(":
-                self.advance()
+                return FuncApp(text, (bracket, *args), span=span)
+            if nxt == "(":
+                self.pos += 1
                 args = self.parse_args()
                 self.expect(")")
-                return FuncApp(t.text, tuple(args), span=span)
-            return Var(t.text, span=span)
-        if t.kind == "op" and t.text == "(":
-            self.advance()
+                return FuncApp(text, tuple(args), span=span)
+            return Var(text, span=span)
+        if text == "(":
+            self.pos += 1
             first = self.parse_expr()
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == ",":
-                self.advance()
+            if self.tokens[self.pos][1] == ",":
+                self.pos += 1
                 second = self.parse_expr()
                 self.expect(")")
                 return FuncApp("complex", (first, second), span=span)
             self.expect(")")
             return first
-        got = t.text or "end of input"
         self.fail(
-            f"unexpected {got!r}",
+            f"unexpected {text or 'end of input'!r}",
             expected=("number", "'w'", "'eps0'", "name", "'('", "'-'"),
         )
 
     def parse_args(self) -> list:
-        if self.peek().kind == "op" and self.peek().text == ")":
+        if self.tokens[self.pos][1] == ")":
             return []
         args = [self.parse_expr()]
-        while self.peek().kind == "op" and self.peek().text == ",":
-            self.advance()
+        while self.tokens[self.pos][1] == ",":
+            self.pos += 1
             args.append(self.parse_expr())
         return args
 
@@ -243,11 +217,9 @@ def parse(source: str) -> Expr:
     """Parse a single expression; raises ParseError with a Diagnostic."""
     p = _Parser(tokenize(source))
     e = p.parse_expr()
-    t = p.peek()
-    if t.kind != "end":
-        raise ParseError(
-            Diagnostic(f"trailing input starting at {t.text!r}", t.line, t.col)
-        )
+    kind, text, line, col = p.tokens[p.pos]
+    if kind != "end":
+        raise ParseError(Diagnostic(f"trailing input starting at {text!r}", line, col))
     return e
 
 

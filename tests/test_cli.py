@@ -128,6 +128,52 @@ class TestBatch:
         assert lines[0]["error"]["message"].startswith("RecursionError")
         assert lines[1]["canonical"] == "2"
 
+    def batch(self, tmp_path, capsys, *sources):
+        path = tmp_path / "lines.txt"
+        path.write_text("".join(line + "\n" for line in sources))
+        _, out, err = run(capsys, "batch", str(path))
+        assert err == ""
+        return [json.loads(line) for line in out.strip().splitlines()]
+
+    def test_nesting_depth(self, tmp_path, capsys):
+        # the records the per-character tokenizer and its parser gave
+        exceeded = "finite power needs a number with more than 10^16384 digits"
+        recs = self.batch(
+            tmp_path, capsys,
+            "(" * 150 + "w + 1" + ")" * 150, "-" * 150 + "w", "2^" * 100 + "2",
+        )
+        assert [r.get("canonical") for r in recs] == ["w + 1", "w", None]
+        assert [r["value"]["type"] for r in recs[:2]] == ["ordinal", "surinteger"]
+        assert recs[2]["error"] == {
+            "kind": "ResourceExceeded",
+            "operation": "^",
+            "message": f"{exceeded}, budget is 10^5-ish (100000)",
+            "line": 1,
+            "col": 192,
+        }
+
+    def test_over_long_literal_is_a_parse_error(self, tmp_path, capsys):
+        (rec,) = self.batch(tmp_path, capsys, "1" * 2_000_001 + " + 1")
+        assert rec["error"] == {
+            "kind": "parse",
+            "message": "number literal is too long (2000001 digits)",
+            "line": 1,
+            "col": 1,
+            "expected": [],
+        }
+
+    def test_large_finite_hyper_indices(self, tmp_path, capsys):
+        recs = self.batch(tmp_path, capsys, "H[500](2, 2)", "H[1000](2, 3)", "H[5](2, 3)")
+        assert [r.get("canonical") for r in recs] == ["4", None, "65536"]
+        assert recs[1]["error"] == {
+            "kind": "ResourceExceeded",
+            "operation": "H",
+            "message": "finite power needs a number with more than 10^16384 digits, "
+            "budget is 10^5-ish (100000)",
+            "line": 1,
+            "col": 1,
+        }
+
 
 VALUE_KINDS = [
     ("w + 1", Ordinal, "ordinal", "ordinal"),

@@ -6,7 +6,7 @@ from functools import cmp_to_key
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from transfinita import (
     EQ,
@@ -30,7 +30,7 @@ from transfinita import (
     rec_sum,
     successor,
 )
-from transfinita.ordinal import ordinal_str, predecessor, validate
+from transfinita.ordinal import _binary_pow, _make, ordinal_str, predecessor, validate
 
 from conftest import o, ordinals
 
@@ -284,6 +284,30 @@ class TestRecPow:
     @given(ordinals(depth=1, max_terms=2, max_coeff=4), ordinals(depth=1, max_terms=2, max_coeff=4))
     def test_result_is_normal(self, a, b):
         validate(rec_pow(a, b))
+
+    @given(ordinals().filter(bool), ordinals().filter(bool))
+    @example(ONE, Ordinal(3))  # finite b
+    @example(o("w + 2"), o("w^2*3 + 4"))  # successor b
+    @example(o("w^w"), o("w^(w + 1) + w*5"))  # limit b
+    def test_omega_power_base(self, z, b):
+        # (w^z)^b = w^(z*b), and the same as the case split for any
+        # transfinite base: limit part of b, then square-and-multiply
+        a = _make(((z, 1),))
+        assert rec_pow(a, b) == _make(((rec_mul(z, b), 1),))
+        assert rec_pow(a, b) == _ref_transfinite_base_pow(a, b)
+
+
+def _ref_transfinite_base_pow(a, b):
+    # rec_pow's case split for a transfinite base a and b > 0
+    finite_part = b[-1][1] if not b[-1][0] else 0
+    za = a[0][0]
+    limit = _make(b[:-1]) if finite_part else b
+    if limit:
+        head = _make(((rec_mul(za, limit), 1),))
+        if finite_part:
+            return rec_mul(head, _binary_pow(a, finite_part, rec_mul, ONE))
+        return head
+    return _binary_pow(a, finite_part, rec_mul, ONE)
 
 
 class TestRecSum:

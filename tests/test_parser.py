@@ -2,10 +2,13 @@
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from transfinita import (
     OMEGA,
+    Diagnostic,
     DivisionByZero,
     EvalError,
     NotRepresentable,
@@ -36,6 +39,7 @@ from transfinita.oracle import (
 )
 from transfinita.ordinal import OrdinalClass
 from transfinita.ordinal import _make as _make_ordinal
+from transfinita.parser import tokenize
 from transfinita.printer import ordinal_tree, surrational_tree
 from transfinita.surinteger import _make as _make_si
 from transfinita.surrational import SurRational
@@ -126,6 +130,84 @@ class TestDiagnostics:
             assert (d.message, d.line, d.col) == ("unexpected character '²'", 1, col)
         assert ev("٣+1") == Ordinal(4)  # other decimal scripts still count
         assert parse("x²") == Var("x²")
+
+
+# The per-character tokenizer that the compiled pattern replaced, kept as the
+# reference for its lexical rules: tokens as (kind, text, line, col).
+def _ref_tokenize(source):
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        start_col = col
+        if ch.isdecimal():
+            j = i
+            while j < n and source[j].isdecimal():
+                j += 1
+            tokens.append(("num", source[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(("ident", source[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        two = source[i : i + 2]
+        if two in ("+.", "-.", "*.", "^^"):
+            tokens.append(("op", two, line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch in "+-*/^()[],":
+            tokens.append(("op", ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(Diagnostic(f"unexpected character {ch!r}", line, col))
+    tokens.append(("end", "", line, col))
+    return tokens
+
+
+def _lexed(tokenizer, source):
+    try:
+        return tokenizer(source)
+    except ParseError as err:
+        return err.diagnostic
+
+
+_LEXEMES = list("0123456789wHeps_xz+-*/^()[],. \t\r\n\x1c\x85\u2028$%") + [
+    "²", "٣", "١٢", "½", "Ⅻ", "é", "x²", "_1", "eps0", "sqrt", "+.", "-.", "*.", "^^",
+]
+
+
+class TestTokenizer:
+    @settings(max_examples=1000)
+    @given(st.lists(st.sampled_from(_LEXEMES), max_size=40).map("".join))
+    @example("")
+    @example("w^(w^2*3 + w) +. 1\n  -. ² x²")
+    def test_matches_reference(self, source):
+        assert _lexed(tokenize, source) == _lexed(_ref_tokenize, source)
+
+    def test_over_long_literal_is_a_diagnostic(self):
+        _, diag = try_parse("1" * 2_000_001 + " + 1")
+        assert (diag.message, diag.line, diag.col) == (
+            "number literal is too long (2000001 digits)", 1, 1
+        )
 
 
 class TestEvaluation:
