@@ -18,7 +18,7 @@ import json
 import sys
 
 from .errors import TransfinitaError
-from .expr import DEFAULT_AMBIENT, BinOp, EvalError, as_ordinal, evaluate
+from .expr import DEFAULT_AMBIENT, EvalError, as_ordinal, evaluate, run
 from .hyper import EvalContext
 from .oracle import DEFAULT_BOUND, SmallOrdinal, def_rec_add, def_rec_mul
 from .ordinal import ONE, ZERO, Ordinal
@@ -70,20 +70,21 @@ def _to_fragment(o: Ordinal):
     return SmallOrdinal(a, b)
 
 
-def _oracle_check(expr, value, env, ctx, ambient) -> str:
+def _oracle_check(code, value, env, ctx, ambient) -> str:
     """Cross-check a top-level +./*. result; returns a message on mismatch."""
-    if not isinstance(expr, BinOp) or expr.op not in ("+.", "*."):
+    tag, _, op = code[-1]
+    if tag != "op" or op not in ("+.", "*."):
         return ""
     try:
-        x = _to_fragment(as_ordinal(evaluate(expr.lhs, env, ctx, ambient)))
-        y = _to_fragment(as_ordinal(evaluate(expr.rhs, env, ctx, ambient)))
+        # the code before the last instruction leaves its two operands
+        x, y = (_to_fragment(as_ordinal(u)) for u in run(code[:-1], env, ctx, ambient))
         v = _to_fragment(as_ordinal(value))
     except TransfinitaError:
         return ""
     if x is None or y is None or v is None:
         return ""
     try:
-        ref = def_rec_add(x, y) if expr.op == "+." else def_rec_mul(x, y)
+        ref = def_rec_add(x, y) if op == "+." else def_rec_mul(x, y)
     except TransfinitaError:
         return ""
     if ref != v:
@@ -92,9 +93,9 @@ def _oracle_check(expr, value, env, ctx, ambient) -> str:
 
 
 def _eval_line(line, env, ctx, ambient, use_oracle):
-    expr = parse(line)
-    value = evaluate(expr, env, ctx, ambient)
-    warning = _oracle_check(expr, value, env, ctx, ambient) if use_oracle else ""
+    code = parse(line)
+    value = evaluate(code, env, ctx, ambient)
+    warning = _oracle_check(code, value, env, ctx, ambient) if use_oracle else ""
     return value, warning
 
 

@@ -1,4 +1,4 @@
-"""Expression AST, value model, and the evaluator.
+"""Value model, and the evaluator of postfix code.
 
 Values promote strictly upward: ordinal -> surinteger -> surrational ->
 gaussian.  The bare operators ``+ * -`` are the natural (commutative)
@@ -7,13 +7,27 @@ operations at whatever level the operands meet; the dot-suffixed operators
 and require operands that demote exactly to ordinals.  ``a -. b`` is left
 subtraction: the unique g with ``a +. g == b``.
 
-Arithmetic errors are re-raised as :class:`EvalError`, which tags the
-originating operation and the source span of the offending node.
+:func:`parser.parse` emits an expression as postfix code: a list of
+``(tag, span, arg)`` instructions, operands before their operation.
+
+    tag      arg               stack effect
+    "const"  the value         push it (number literals and ``w``)
+    "op"     operator text     pop two, push the result
+    "neg"    None              negate the top
+    "H"      None              pop index, a, b; push ``H[index](a, b)``
+    "call"   (name, nargs)     pop nargs arguments, push the result
+    "var"    the name          push its binding
+    "eps0"   None              raise: the sentinel has no value
+
+:func:`run` executes the code in one loop over a value stack, so no depth
+of nesting costs Python frames.  Arithmetic errors are re-raised as
+:class:`EvalError`, which tags the originating operation and the source
+span of the offending instruction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .cuts import (
@@ -47,61 +61,7 @@ from .surrational import (
     q_sub,
 )
 
-Span = Optional[tuple]  # (line, col) of the node's first token
-
-
-@dataclass(frozen=True)
-class NatLiteral:
-    value: int
-    span: Span = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class Omega:
-    span: Span = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class Eps0Sentinel:
-    span: Span = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class UnaryNeg:
-    operand: "Expr"
-    span: Span = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    lhs: "Expr"
-    rhs: "Expr"
-    span: Span = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class HyperApp:
-    index: "Expr"
-    a: "Expr"
-    b: "Expr"
-    span: Span = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class FuncApp:
-    name: str
-    args: tuple
-    span: Span = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class Var:
-    ident: str
-    span: Span = field(default=None, compare=False)
-
-
-Expr = Union[NatLiteral, Omega, Eps0Sentinel, UnaryNeg, BinOp, HyperApp, FuncApp, Var]
+Span = Optional[tuple]  # (line, col) of an instruction's token
 
 
 @dataclass(frozen=True)
@@ -219,58 +179,64 @@ DEFAULT_AMBIENT = rec_pow(OMEGA, OMEGA)
 
 
 def evaluate(
-    e: Expr,
+    code: list,
     env: Optional[dict] = None,
     ctx: EvalContext = DEFAULT_CONTEXT,
     ambient: Ordinal = DEFAULT_AMBIENT,
 ) -> Value:
-    """Evaluate an expression tree to a value.
+    """Evaluate the postfix code of one expression (see :func:`run`)."""
+    return run(code, env, ctx, ambient)[-1]
 
+
+# The operation an error reports, for the tags whose argument is not it
+_OPERATION = {"neg": "-", "H": "H", "var": "name", "eps0": "eps0"}
+
+
+def run(
+    code: list,
+    env: Optional[dict] = None,
+    ctx: EvalContext = DEFAULT_CONTEXT,
+    ambient: Ordinal = DEFAULT_AMBIENT,
+) -> list:
+    """Run postfix code from :func:`parser.parse`; return the value stack.
+
+    One loop over the instructions: each pops its operands and pushes its
+    result, so nesting and length cost stack entries, not Python frames.
     ``env`` holds named bindings (the REPL's ``:let``); ``ambient`` is the
     truncation point used by ``member()`` when no explicit one is given.
     """
-    if isinstance(e, NatLiteral):
-        return Ordinal(e.value)
-    if isinstance(e, Omega):
-        return OMEGA
-    if isinstance(e, Eps0Sentinel):
-        raise EvalError(
-            NotRepresentable("the boundary sentinel has no finite normal form"),
-            "eps0",
-            e.span,
-        )
-    if isinstance(e, Var):
-        if env and e.ident in env:
-            return env[e.ident]
-        raise EvalError(Undefined(f"unbound name {e.ident!r}"), "name", e.span)
-    if isinstance(e, UnaryNeg):
-        v = evaluate(e.operand, env, ctx, ambient)
+    stack = []
+    push, pop = stack.append, stack.pop
+    for tag, span, arg in code:
+        if tag == "const":
+            push(arg)
+            continue
         try:
-            lvl = max(_level(v), 1)
-            v = promote(v, lvl)
-            return (None, si_neg, q_neg, cx_neg)[lvl](v)
+            if tag == "op":
+                y = pop()
+                stack[-1] = _binop(arg, stack[-1], y, ctx)
+            elif tag == "neg":
+                v = stack[-1]
+                lvl = max(_level(v), 1)
+                stack[-1] = (None, si_neg, q_neg, cx_neg)[lvl](promote(v, lvl))
+            elif tag == "call":
+                name, n = arg
+                args = stack[len(stack) - n :]
+                del stack[len(stack) - n :]
+                push(_call(name, args, ambient))
+            elif tag == "H":
+                b, a = pop(), pop()
+                stack[-1] = hyperop(as_ordinal(stack[-1]), as_ordinal(a), as_ordinal(b), ctx)
+            elif tag == "var":
+                if not env or arg not in env:
+                    raise Undefined(f"unbound name {arg!r}")
+                push(env[arg])
+            else:
+                raise NotRepresentable("the boundary sentinel has no finite normal form")
         except TransfinitaError as err:
-            raise EvalError(err, "-", e.span) from err
-    if isinstance(e, BinOp):
-        x = evaluate(e.lhs, env, ctx, ambient)
-        y = evaluate(e.rhs, env, ctx, ambient)
-        try:
-            return _binop(e.op, x, y, ctx)
-        except EvalError:
-            raise
-        except TransfinitaError as err:
-            raise EvalError(err, e.op, e.span) from err
-    if isinstance(e, HyperApp):
-        idx = evaluate(e.index, env, ctx, ambient)
-        a = evaluate(e.a, env, ctx, ambient)
-        b = evaluate(e.b, env, ctx, ambient)
-        try:
-            return hyperop(as_ordinal(idx), as_ordinal(a), as_ordinal(b), ctx)
-        except TransfinitaError as err:
-            raise EvalError(err, "H", e.span) from err
-    if isinstance(e, FuncApp):
-        return _funcapp(e, env, ctx, ambient)
-    raise Undefined(f"cannot evaluate {e!r}")
+            operation = arg if tag == "op" else arg[0] if tag == "call" else _OPERATION[tag]
+            raise EvalError(err, operation, span) from err
+    return stack
 
 
 def _binop(op: str, x: Value, y: Value, ctx: EvalContext) -> Value:
@@ -303,37 +269,31 @@ def _binop(op: str, x: Value, y: Value, ctx: EvalContext) -> Value:
     raise Undefined(f"unknown operator {op!r}")
 
 
-def _funcapp(e: FuncApp, env, ctx, ambient) -> Value:
-    args = [evaluate(a, env, ctx, ambient) for a in e.args]
-    try:
-        if e.name == "complex":
-            if len(args) != 2:
-                raise Undefined("complex takes a real part and an imaginary part")
-            return GaussianSurRational(as_surrational(args[0]), as_surrational(args[1]))
-        if e.name == "sqrt":
-            if len(args) != 2:
-                raise Undefined("sqrt takes a bracketed degree and a radicand")
-            n = int(as_ordinal(args[0]))
-            return CutHandle(as_surrational(args[1]), n)
-        if e.name == "member":
-            if len(args) not in (2, 3):
-                raise Undefined("member takes a cut, an element and an optional lambda")
-            lam = as_ordinal(args[2]) if len(args) == 3 else ambient
-            cut = args[0]
-            if isinstance(cut, CutHandle):
-                spec = RootCut(cut.q, cut.n, lam)
-            else:
-                spec = RationalCut(as_surrational(cut), lam)
-            return cut_member(spec, as_surrational(args[1]))
-        if e.name == "classify":
-            if len(args) != 1:
-                raise Undefined("classify takes one argument")
-            v = args[0]
-            if isinstance(v, CutHandle):
-                return classify_root_cut(RootCut(v.q, v.n, ambient))
-            return classify(as_ordinal(v))
-        raise Undefined(f"unknown function {e.name!r}")
-    except EvalError:
-        raise
-    except TransfinitaError as err:
-        raise EvalError(err, e.name, e.span) from err
+def _call(name: str, args: list, ambient: Ordinal) -> Value:
+    if name == "complex":
+        if len(args) != 2:
+            raise Undefined("complex takes a real part and an imaginary part")
+        return GaussianSurRational(as_surrational(args[0]), as_surrational(args[1]))
+    if name == "sqrt":
+        if len(args) != 2:
+            raise Undefined("sqrt takes a bracketed degree and a radicand")
+        n = int(as_ordinal(args[0]))
+        return CutHandle(as_surrational(args[1]), n)
+    if name == "member":
+        if len(args) not in (2, 3):
+            raise Undefined("member takes a cut, an element and an optional lambda")
+        lam = as_ordinal(args[2]) if len(args) == 3 else ambient
+        cut = args[0]
+        if isinstance(cut, CutHandle):
+            spec = RootCut(cut.q, cut.n, lam)
+        else:
+            spec = RationalCut(as_surrational(cut), lam)
+        return cut_member(spec, as_surrational(args[1]))
+    if name == "classify":
+        if len(args) != 1:
+            raise Undefined("classify takes one argument")
+        v = args[0]
+        if isinstance(v, CutHandle):
+            return classify_root_cut(RootCut(v.q, v.n, ambient))
+        return classify(as_ordinal(v))
+    raise Undefined(f"unknown function {name!r}")

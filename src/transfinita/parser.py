@@ -1,4 +1,10 @@
-"""Tokenizer and precedence-climbing parser for the expression language.
+"""Tokenizer and recursive-descent parser for the expression language.
+
+``parse`` emits postfix code rather than a tree: a list of ``(tag, span,
+arg)`` instructions in which every operand comes before its operation, so
+that ``expr.run`` evaluates it in one loop over a value stack (the
+``expr`` docstring lists the tags).  Each grammar method appends the
+instructions of its phrase.
 
 Grammar (EBNF; the README carries the same table):
 
@@ -22,7 +28,10 @@ the line and restarts the column.
 
 Every malformed input raises :class:`ParseError` carrying a
 :class:`Diagnostic` with line, column and the expected-token set; the parser
-never lets any other exception escape.
+never lets any other exception escape.  A line nested more than
+``MAX_NESTING`` levels deep (parentheses, argument lists, unary minus and
+power right-hand sides all count) is such an input, reported at the token
+that opens the level past the limit.
 """
 
 from __future__ import annotations
@@ -30,17 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .expr import (
-    BinOp,
-    Eps0Sentinel,
-    Expr,
-    FuncApp,
-    HyperApp,
-    NatLiteral,
-    Omega,
-    UnaryNeg,
-    Var,
-)
+from .ordinal import OMEGA, Ordinal
 
 
 @dataclass(frozen=True)
@@ -100,6 +99,13 @@ _SUM_OPS = frozenset(("+", "-", "+.", "-."))
 _PROD_OPS = frozenset(("*", "*.", "/"))
 _POW_OPS = frozenset(("^", "^^"))
 
+# Deepest nesting a line may have, counted as parse_unary calls open at
+# once: each parenthesis, argument list, unary minus and power right-hand
+# side opens one.  A level costs at most 4 Python frames (unary, atom, sum,
+# product), so 200 levels stay well inside the default recursion limit of
+# 1,000 even under a test runner's stack.
+MAX_NESTING = 200
+
 
 class _Parser:
     # Tokens are compared by text alone: an operator's text is never a
@@ -107,6 +113,9 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+        self.code = []
+        self.emit = self.code.append
 
     def fail(self, message: str, expected=()):
         _, _, line, col = self.tokens[self.pos]
@@ -118,40 +127,46 @@ class _Parser:
             self.fail(f"unexpected {got or 'end of input'!r}", expected=(repr(text),))
         self.pos += 1
 
-    def parse_sum(self) -> Expr:
-        lhs = self.parse_product()
+    def parse_sum(self) -> None:
+        self.parse_product()
         t = self.tokens[self.pos]
         while t[1] in _SUM_OPS:
             self.pos += 1
-            lhs = BinOp(t[1], lhs, self.parse_product(), span=t[2:])
+            self.parse_product()
+            self.emit(("op", t[2:], t[1]))
             t = self.tokens[self.pos]
-        return lhs
 
     parse_expr = parse_sum
 
-    def parse_product(self) -> Expr:
-        lhs = self.parse_unary()
+    def parse_product(self) -> None:
+        self.parse_unary()
         t = self.tokens[self.pos]
         while t[1] in _PROD_OPS:
             self.pos += 1
-            lhs = BinOp(t[1], lhs, self.parse_unary(), span=t[2:])
+            self.parse_unary()
+            self.emit(("op", t[2:], t[1]))
             t = self.tokens[self.pos]
-        return lhs
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested too deeply (more than {MAX_NESTING} levels)")
         # unary minus binds looser than the power operators: -w^2 = -(w^2)
         t = self.tokens[self.pos]
         if t[1] == "-":
             self.pos += 1
-            return UnaryNeg(self.parse_unary(), span=t[2:])
-        lhs = self.parse_atom()
-        t = self.tokens[self.pos]
-        if t[1] in _POW_OPS:
-            self.pos += 1
-            return BinOp(t[1], lhs, self.parse_unary(), span=t[2:])  # right assoc
-        return lhs
+            self.parse_unary()
+            self.emit(("neg", t[2:], None))
+        else:
+            self.parse_atom()
+            t = self.tokens[self.pos]
+            if t[1] in _POW_OPS:
+                self.pos += 1
+                self.parse_unary()  # right assoc
+                self.emit(("op", t[2:], t[1]))
+        self.depth -= 1
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> None:
         kind, text, line, col = self.tokens[self.pos]
         span = (line, col)
         if kind == "num":
@@ -162,69 +177,69 @@ class _Parser:
                 raise ParseError(Diagnostic(
                     f"number literal is too long ({len(text)} digits)", line, col
                 )) from None
-            return NatLiteral(value, span=span)
-        if kind == "ident":
+            self.emit(("const", span, Ordinal(value)))
+        elif kind == "ident":
             self.pos += 1
-            if text == "w":
-                return Omega(span=span)
-            if text == "eps0":
-                return Eps0Sentinel(span=span)
             nxt = self.tokens[self.pos][1]
-            if nxt == "[":
-                self.pos += 1
-                bracket = self.parse_expr()
-                self.expect("]")
+            if text == "w":
+                self.emit(("const", span, OMEGA))
+            elif text == "eps0":
+                self.emit(("eps0", span, None))
+            elif nxt != "[" and nxt != "(":
+                self.emit(("var", span, text))
+            else:
+                # name[bracket](args): the bracket is the first argument
+                nargs = 0
+                if nxt == "[":
+                    self.pos += 1
+                    self.parse_expr()
+                    self.expect("]")
+                    nargs = 1
                 self.expect("(")
-                args = self.parse_args()
+                if self.tokens[self.pos][1] != ")":
+                    self.parse_expr()
+                    nargs += 1
+                    while self.tokens[self.pos][1] == ",":
+                        self.pos += 1
+                        self.parse_expr()
+                        nargs += 1
                 self.expect(")")
-                if text == "H":
-                    if len(args) != 2:
+                if text == "H" and nxt == "[":
+                    if nargs != 3:
                         self.fail("H[...] takes exactly two arguments")
-                    return HyperApp(bracket, args[0], args[1], span=span)
-                return FuncApp(text, (bracket, *args), span=span)
-            if nxt == "(":
-                self.pos += 1
-                args = self.parse_args()
-                self.expect(")")
-                return FuncApp(text, tuple(args), span=span)
-            return Var(text, span=span)
-        if text == "(":
+                    self.emit(("H", span, None))
+                else:
+                    self.emit(("call", span, (text, nargs)))
+        elif text == "(":
             self.pos += 1
-            first = self.parse_expr()
+            self.parse_expr()
             if self.tokens[self.pos][1] == ",":
                 self.pos += 1
-                second = self.parse_expr()
+                self.parse_expr()
                 self.expect(")")
-                return FuncApp("complex", (first, second), span=span)
-            self.expect(")")
-            return first
-        self.fail(
-            f"unexpected {text or 'end of input'!r}",
-            expected=("number", "'w'", "'eps0'", "name", "'('", "'-'"),
-        )
-
-    def parse_args(self) -> list:
-        if self.tokens[self.pos][1] == ")":
-            return []
-        args = [self.parse_expr()]
-        while self.tokens[self.pos][1] == ",":
-            self.pos += 1
-            args.append(self.parse_expr())
-        return args
+                self.emit(("call", span, ("complex", 2)))
+            else:
+                self.expect(")")
+        else:
+            self.fail(
+                f"unexpected {text or 'end of input'!r}",
+                expected=("number", "'w'", "'eps0'", "name", "'('", "'-'"),
+            )
 
 
-def parse(source: str) -> Expr:
-    """Parse a single expression; raises ParseError with a Diagnostic."""
+def parse(source: str) -> list:
+    """Parse a single expression to postfix code; raises ParseError with a
+    Diagnostic."""
     p = _Parser(tokenize(source))
-    e = p.parse_expr()
+    p.parse_expr()
     kind, text, line, col = p.tokens[p.pos]
     if kind != "end":
         raise ParseError(Diagnostic(f"trailing input starting at {text!r}", line, col))
-    return e
+    return p.code
 
 
 def try_parse(source: str):
-    """(expr, None) on success, (None, Diagnostic) on failure; never raises."""
+    """(code, None) on success, (None, Diagnostic) on failure; never raises."""
     try:
         return parse(source), None
     except ParseError as err:

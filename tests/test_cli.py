@@ -14,6 +14,8 @@ from transfinita import (
     SurRational,
 )
 from transfinita.cli import main
+from transfinita.oracle import SmallOrdinal
+from transfinita.parser import MAX_NESTING
 from transfinita.errors import Undefined
 from transfinita.expr import CutHandle, EvalError, evaluate
 from transfinita.parser import parse
@@ -98,6 +100,26 @@ class TestEval:
         assert code == 0 and out.strip() == "w*3 + 3"
         assert "mismatch" not in err
 
+    @pytest.mark.parametrize("source,name,operands", [
+        ("(w + 1) +. (w*2 + 3)", "def_rec_add", (SmallOrdinal(1, 1), SmallOrdinal(2, 3))),
+        ("(w + 1) *. 3", "def_rec_mul", (SmallOrdinal(1, 1), SmallOrdinal(0, 3))),
+    ])
+    def test_oracle_mismatch_is_a_warning(self, monkeypatch, capsys, source, name, operands):
+        seen = []
+
+        def wrong(x, y):
+            seen.append((x, y))
+            return SmallOrdinal(0, 7)
+
+        monkeypatch.setattr(f"transfinita.cli.{name}", wrong)
+        code, out, _ = run(capsys, "--json", "--oracle", "eval", source)
+        rec = json.loads(out)
+        assert code == 0 and "value" in rec
+        # both operands, in order, from the code before the top operation
+        assert seen == [operands]
+        assert rec["warning"].startswith("oracle mismatch: closed form gave ")
+        assert rec["warning"].endswith(f"definitional recursion {SmallOrdinal(0, 7)}")
+
 
 class TestBatch:
     def test_records_and_exit_codes(self, tmp_path, capsys):
@@ -151,6 +173,25 @@ class TestBatch:
             "line": 1,
             "col": 192,
         }
+
+    def test_nesting_past_the_limit_is_a_parse_error(self, tmp_path, capsys):
+        # nested deeper than the interpreter stack allows: a parse error, not a RecursionError
+        recs = self.batch(
+            tmp_path, capsys,
+            "(" * 300 + "w + 1" + ")" * 300, "-" * 1000 + "w", "2^" * 1000 + "2",
+        )
+        message = f"expression nested too deeply (more than {MAX_NESTING} levels)"
+        # the token that opens level MAX_NESTING + 1
+        cols = [MAX_NESTING + 1, MAX_NESTING + 1, 2 * MAX_NESTING + 1]
+        assert [r["error"] for r in recs] == [
+            {"kind": "parse", "message": message, "line": 1, "col": col, "expected": []}
+            for col in cols
+        ]
+
+    def test_long_flat_sum(self, tmp_path, capsys):
+        # more operations than the interpreter stack has frames
+        (rec,) = self.batch(tmp_path, capsys, "+".join(["1"] * 50_000))
+        assert rec["canonical"] == "50000"
 
     def test_over_long_literal_is_a_parse_error(self, tmp_path, capsys):
         (rec,) = self.batch(tmp_path, capsys, "1" * 2_000_001 + " + 1")
@@ -236,6 +277,16 @@ class TestRepl:
         assert code == 0
         assert "parse error" in err and "NotRepresentable" in err
         assert "4" in out
+
+    def test_oracle_mismatch_is_a_warning(self, monkeypatch, capsys):
+        monkeypatch.setattr("transfinita.cli.def_rec_add", lambda x, y: SmallOrdinal(0, 7))
+        code, out, err = self._run_repl(
+            monkeypatch, capsys, [":oracle on", "1 +. w", ":oracle off", "2 +. w", ":quit"]
+        )
+        assert code == 0 and out.splitlines()[-4:] == [
+            "oracle cross-check on", "w", "oracle cross-check off", "w",
+        ]
+        assert err.count("warning: oracle mismatch") == 1
 
     def test_defects_do_not_kill_the_loop(self, monkeypatch, capsys):
         # past the recursion ceiling: an internal error, not the end of the session

@@ -1,6 +1,7 @@
 """Expression grammar, evaluation dispatch, canonical printing, JSON trees."""
 
 import random
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -21,16 +22,8 @@ from transfinita import (
     value_equal,
     value_tree,
 )
-from transfinita.expr import (
-    BinOp,
-    FuncApp,
-    HyperApp,
-    NatLiteral,
-    Omega,
-    UnaryNeg,
-    Var,
-    evaluate,
-)
+from transfinita.expr import evaluate
+from transfinita.hyper import EvalContext
 from transfinita.oracle import (
     random_gaussian,
     random_ordinal,
@@ -39,11 +32,12 @@ from transfinita.oracle import (
 )
 from transfinita.ordinal import OrdinalClass
 from transfinita.ordinal import _make as _make_ordinal
-from transfinita.parser import tokenize
+from transfinita.parser import MAX_NESTING, tokenize
 from transfinita.printer import ordinal_tree, surrational_tree
 from transfinita.surinteger import _make as _make_si
 from transfinita.surrational import SurRational
 
+import reference_tree
 from conftest import o, q, si
 
 
@@ -59,22 +53,32 @@ def ev(text):
     return evaluate(parse(text))
 
 
+def ops(code) -> list:
+    """The postfix code without spans: ``(tag, arg)`` per instruction."""
+    return [(tag, arg) for tag, _, arg in code]
+
+
 class TestGrammar:
     def test_precedence_tree(self):
-        e = parse("w^(w^2)*3 + 5")
-        assert isinstance(e, BinOp) and e.op == "+"
-        assert isinstance(e.lhs, BinOp) and e.lhs.op == "*"
-        assert isinstance(e.rhs, NatLiteral) and e.rhs.value == 5
+        # + last, its right operand the lone 5 before it, its left one
+        # ending in the * that multiplies w^(w^2) by 3
+        assert ops(parse("w^(w^2)*3 + 5")) == [
+            ("const", OMEGA), ("const", OMEGA), ("const", Ordinal(2)),
+            ("op", "^"), ("op", "^"), ("const", Ordinal(3)), ("op", "*"),
+            ("const", Ordinal(5)), ("op", "+"),
+        ]
 
     def test_dotted_operator(self):
-        e = parse("1 +. w")
-        assert isinstance(e, BinOp) and e.op == "+."
-        assert isinstance(e.lhs, NatLiteral) and isinstance(e.rhs, Omega)
+        assert parse("1 +. w") == [
+            ("const", (1, 1), Ordinal(1)), ("const", (1, 6), OMEGA), ("op", (1, 3), "+."),
+        ]
 
     def test_hyper_application(self):
-        e = parse("H[4](3,3)")
-        assert isinstance(e, HyperApp)
-        assert e.index == NatLiteral(4)
+        # the index is the first operand, the operation carries the H's span
+        assert parse("H[4](3,3)") == [
+            ("const", (1, 3), Ordinal(4)), ("const", (1, 6), Ordinal(3)),
+            ("const", (1, 8), Ordinal(3)), ("H", (1, 1), None),
+        ]
 
     def test_power_is_right_associative(self):
         assert ev("2^2^3") == Ordinal(256)
@@ -83,16 +87,19 @@ class TestGrammar:
         assert value_equal(ev("-w^2"), si("- (w^2)"))
 
     def test_bracketed_function(self):
-        e = parse("sqrt[2](2)")
-        assert isinstance(e, FuncApp) and e.name == "sqrt" and len(e.args) == 2
+        # the bracket is the first of the two arguments
+        assert ops(parse("sqrt[2](2)")) == [
+            ("const", Ordinal(2)), ("const", Ordinal(2)), ("call", ("sqrt", 2)),
+        ]
 
     def test_complex_literal(self):
-        e = parse("(1/2, 3)")
-        assert isinstance(e, FuncApp) and e.name == "complex"
+        assert parse("(1/2, 3)")[-1] == ("call", (1, 1), ("complex", 2))
+        assert ops(parse("(1/2, 3)"))[:4] == [
+            ("const", Ordinal(1)), ("const", Ordinal(2)), ("op", "/"), ("const", Ordinal(3)),
+        ]
 
     def test_unary_minus(self):
-        e = parse("-3")
-        assert isinstance(e, UnaryNeg)
+        assert parse("-3") == [("const", (1, 2), Ordinal(3)), ("neg", (1, 1), None)]
 
 
 class TestDiagnostics:
@@ -129,7 +136,7 @@ class TestDiagnostics:
             d = err.value.diagnostic
             assert (d.message, d.line, d.col) == ("unexpected character '²'", 1, col)
         assert ev("٣+1") == Ordinal(4)  # other decimal scripts still count
-        assert parse("x²") == Var("x²")
+        assert parse("x²") == [("var", (1, 1), "x²")]
 
 
 # The per-character tokenizer that the compiled pattern replaced, kept as the
@@ -268,6 +275,127 @@ class TestEvaluation:
         through_field = ev("(2/1) + 3")
         assert value_equal(plain, through_ring)
         assert value_equal(plain, through_field)
+
+
+def _depth() -> int:
+    f, n = sys._getframe(), 0
+    while f is not None:
+        n, f = n + 1, f.f_back
+    return n
+
+
+def within(frames, fn, *args):
+    """``fn(*args)`` with room for about ``frames`` more Python frames."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + frames)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(old)
+
+
+# Each form nested n levels deep, as parse_unary counts them.
+NESTED = {
+    "parentheses": lambda n: "(" * (n - 1) + "w + 1" + ")" * (n - 1),
+    "arguments": lambda n: "classify(" * (n - 1) + "w" + ")" * (n - 1),
+    "brackets": lambda n: "sqrt[" * (n - 1) + "2" + "](2)" * (n - 1),
+    "complex": lambda n: "(" * (n - 1) + "1" + ", 1)" * (n - 1),
+    "minus": lambda n: "-" * (n - 1) + "w",
+    "powers": lambda n: "2^" * (n - 1) + "2",
+}
+
+
+class TestNesting:
+    @pytest.mark.parametrize("form", NESTED)
+    def test_limit_costs_at_most_four_frames_a_level(self, form):
+        within(4 * MAX_NESTING + 20, parse, NESTED[form](MAX_NESTING))
+        with pytest.raises(ParseError) as err:
+            parse(NESTED[form](MAX_NESTING + 1))
+        assert err.value.diagnostic.message == (
+            f"expression nested too deeply (more than {MAX_NESTING} levels)"
+        )
+
+    def test_evaluation_costs_no_frames_a_level(self):
+        deep = parse(NESTED["parentheses"](MAX_NESTING))
+        assert within(20, evaluate, deep) == o("w + 1")
+        minus = parse(NESTED["minus"](MAX_NESTING))  # 199 minus signs
+        assert value_equal(within(20, evaluate, minus), si("-w"))
+        with pytest.raises(EvalError):  # classify(classify(w)) is not an ordinal
+            within(20, evaluate, parse(NESTED["arguments"](MAX_NESTING)))
+
+    def test_long_flat_sum_costs_no_frames(self):
+        code = parse(" + ".join(["1"] * 20_000))
+        assert len(code) == 39_999
+        assert within(20, evaluate, code) == Ordinal(20_000)
+
+
+# Lines from the grammar, shallow enough for the recursive reference.  H and
+# the right operand of ^^ take leaves only, and ^/^^ bracket their left
+# operand, so no line asks for a supremum that does not finish (2^^(w^2)).
+_LEAF = st.sampled_from(["0", "1", "2", "3", "12", "w", "x", "y", "eps0"])
+_BIN = ["+", "-", "*", "/", "+.", "-.", "*."]
+
+
+def _grow(sub):
+    two = st.tuples(sub, sub)
+    return st.one_of(
+        st.tuples(sub, st.sampled_from(_BIN), sub).map(" ".join),
+        two.map(lambda ab: f"({ab[0]}) ^ {ab[1]}"),
+        st.tuples(sub, _LEAF).map(lambda ab: f"({ab[0]}) ^^ {ab[1]}"),
+        sub.map(lambda a: f"-{a}"),
+        sub.map(lambda a: f"({a})"),
+        two.map(lambda ab: f"({ab[0]}, {ab[1]})"),
+        st.tuples(_LEAF, _LEAF, _LEAF).map(lambda t: "H[{}]({}, {})".format(*t)),
+        st.tuples(st.sampled_from(["1", "2", "3", "w", "1/2"]), sub).map(
+            lambda ab: f"sqrt[{ab[0]}]({ab[1]})"
+        ),
+        st.tuples(st.sampled_from(["member", "classify", "complex", "frob"]),
+                  st.lists(sub, max_size=3)).map(lambda fa: f"{fa[0]}({', '.join(fa[1])})"),
+    )
+
+
+_LINES = st.recursive(_LEAF, _grow, max_leaves=16)
+
+
+def _break(line, how, k):
+    """A malformed line: a token too many, a cut-off line or a wrong arity."""
+    if how == 0:
+        return f"{line} {')+(,]%2'[k % 7]}"
+    if how == 1:
+        return line[:k]
+    return f"H[2]({line})"
+
+
+_BROKEN = st.builds(_break, _LINES, st.integers(0, 2), st.integers(0, 40))
+_CTX = EvalContext(max_digits=1000)
+
+
+def _outcome(parse_fn, evaluate_fn, source):
+    env = {"x": q("1/w")}
+    try:
+        v = evaluate_fn(parse_fn(source), env, _CTX)
+    except ParseError as err:
+        return "parse", err.diagnostic
+    except EvalError as err:
+        return "eval", type(err.origin).__name__, err.operation, err.span, str(err.origin)
+    except Exception as err:  # a defect: it must be the same one
+        return "defect", type(err).__name__, str(err)
+    return "value", type(v), print_canonical(v), value_tree(v)
+
+
+class TestPostfixAgainstTree:
+    @settings(max_examples=600)
+    @given(st.one_of(_LINES, _BROKEN))
+    @example("H[2](1)")
+    @example("complex(1)")
+    @example("(1, 2, 3)")
+    @example("x² + x")
+    @example("member(sqrt[2](2), 7/5, w) +. 1")
+    @example("classify(sqrt[2](w^2)) * 2")
+    def test_same_value_or_error(self, source):
+        assert _outcome(parse, evaluate, source) == _outcome(
+            reference_tree.parse, reference_tree.evaluate, source
+        )
 
 
 class TestCanonicalPrinting:
