@@ -112,13 +112,6 @@ from .cuts import (
     cx_neg,
 )
 from .expr import EvalError, evaluate, value_equal
-from .oracle import (
-    random_gaussian,
-    random_ordinal,
-    random_ordinal_below,
-    random_surinteger,
-    random_surrational,
-)
 from .parser import Diagnostic, ParseError, parse, try_parse
 from .printer import print_canonical, value_tree
 

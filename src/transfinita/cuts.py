@@ -53,6 +53,10 @@ from .surrational import (
     reduce as q_reduce,
 )
 
+# largest numerator and denominator of the finite roots i/j that
+# classify_root_cut tests for radicands the structural analysis leaves open
+ROOT_SEARCH_BOUND = 24
+
 
 @dataclass(frozen=True)
 class RationalCut:
@@ -152,13 +156,13 @@ def _si_nth_root(a: SurInteger, n: int):
     return _make_si(((root_e, root_c),)), True
 
 
-def classify_root_cut(cut: RootCut, search_bound: int = 24) -> RootClassification:
+def classify_root_cut(cut: RootCut) -> RootClassification:
     """Decide whether the root cut sits at an exact n-th root.
 
     A returned witness p always satisfies ``p^n == q`` up to value equality.
     An ``irrational`` verdict comes from the structural leading-term
     analysis.  Radicands it does not cover get the exact test of
-    :func:`_finite_root` for a root ``i/j`` with ``i, j <= search_bound``,
+    :func:`_finite_root` for a root ``i/j`` with ``i, j <= ROOT_SEARCH_BOUND``,
     and ``inconclusive`` means there is no such root.
     """
     q = q_reduce(cut.q)
@@ -169,15 +173,16 @@ def classify_root_cut(cut: RootCut, search_bound: int = 24) -> RootClassificatio
             return RootClassification("irrational")
         witness = SurRational(rn, rd)
     else:
-        witness = _finite_root(q, cut.n, search_bound)
+        witness = _finite_root(q, cut.n)
         if witness is None:
             return RootClassification("inconclusive")
     assert q_eq(_q_pow(witness, cut.n), q)
     return RootClassification("surrational", witness)
 
 
-def _finite_root(q: SurRational, n: int, bound: int) -> Optional[SurRational]:
-    """The root ``i/j`` of ``q`` with ``i, j <= bound`` and the least i, or None.
+def _finite_root(q: SurRational, n: int) -> Optional[SurRational]:
+    """The root ``i/j`` of ``q`` with ``i, j <= ROOT_SEARCH_BOUND`` and the
+    least i, or None.
 
     ``(i/j)^n == num/den`` means ``j^n*num == i^n*den``: both sides scale one
     side's terms by a positive integer, so num and den share their exponents
@@ -192,7 +197,7 @@ def _finite_root(q: SurRational, n: int, bound: int) -> Optional[SurRational]:
     a, b = tn[0][1] // g, td[0][1] // g
     if any(en != ed or cn * b != cd * a for (en, cn), (ed, cd) in zip(tn, td)):
         return None
-    if max(a, b) > bound**n:
+    if max(a, b) > ROOT_SEARCH_BOUND**n:
         return None
     i, j = _int_nth_root(a, n), _int_nth_root(b, n)
     if i**n != a or j**n != b:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import NotRepresentable, ResourceExceeded, Undefined, Unsupported
-from .natural import _is_add_closed, _is_exp_closed, _is_mul_closed
+from .natural import ClosureKind, is_closure_number, next_closure
 from .ordinal import (
     DEFAULT_MAX_DIGITS,
     OMEGA,
@@ -48,15 +48,16 @@ from .ordinal import (
 
 # intermediate samples inside a supremum never need more room than this
 _SUP_SAMPLE_DIGITS = 10**6
+# cofinal samples taken to read off a supremum
+_SUP_SAMPLES = 8
 _TWO, _FOUR = Ordinal(2), Ordinal(4)
 
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Evaluation budget: decimal-digit cap and supremum sample count."""
+    """Evaluation budget: the decimal-digit cap."""
 
     max_digits: int = DEFAULT_MAX_DIGITS
-    sup_samples: int = 8
 
 
 DEFAULT_CONTEXT = EvalContext()
@@ -132,18 +133,18 @@ def _finite_index(n: int, a: Ordinal, b: Ordinal, ctx: EvalContext) -> Ordinal:
             return ONE if int(b) % 2 == 0 else ZERO
         return ONE
     if b.is_finite:
-        if a.is_finite:
-            # Two finite shapes whose unfolding by the index alone would nest
-            # n - 3 calls deep: go straight to where it ends.
-            m = int(a)
-            if m == 2 and b == _TWO:
-                return rec_pow(a, b, ctx.max_digits)  # H[n](2, 2) = 2^2 = 4
-            if n >= 6:
-                # H[n](m, k) >= H[6](2, 3) = 2^^65536, past every digit
-                # budget.  The unfolding fails first inside H[5](m, m), or
-                # H[5](2, 4) for m = 2, so raise that error.
-                hyperop(5, a, _FOUR if m == 2 else a, ctx)
-                raise ResourceExceeded(f"H[{n}]({m}, {int(b)}) is past every digit budget")
+        # Shapes whose unfolding by the index alone would nest n - 3 calls
+        # deep: go straight to where it ends.
+        if a == _TWO and b == _TWO:
+            return rec_pow(a, b, ctx.max_digits)  # H[n](2, 2) = 2^2 = 4
+        if n >= 6:
+            # The unfolding evaluates H[5](a, a) before anything else, or
+            # H[5](2, 4) for a = 2, so whatever that raises is the answer.
+            # A finite H[n](m, k) >= H[6](2, 3) = 2^^65536 is past every
+            # digit budget.
+            hyperop(5, a, _FOUR if a == _TWO else a, ctx)
+            if a.is_finite:
+                raise ResourceExceeded(f"H[{n}]({int(a)}, {int(b)}) is past every digit budget")
         # values are monotone in b, so on finite arguments the digit guard in
         # rec_pow fires after a handful of steps on anything that cannot fit
         v = a
@@ -179,7 +180,7 @@ def _omega_index(a: Ordinal, b: Ordinal, ctx: EvalContext) -> Ordinal:
 def _sup_over_limit(gen, ctx: EvalContext) -> Ordinal:
     sample_ctx = replace(ctx, max_digits=min(ctx.max_digits, _SUP_SAMPLE_DIGITS))
     vals = []
-    for k in range(1, max(4, ctx.sup_samples) + 1):
+    for k in range(1, _SUP_SAMPLES + 1):
         try:
             vals.append(gen(k, sample_ctx))
         except ResourceExceeded:
@@ -225,32 +226,24 @@ def _limit_of_samples(tail, budget: int = 4) -> Ordinal:
     raise Unsupported("no stable shape detected in the supremum sequence")
 
 
+# closure kinds of indices 1, 2 and 3; every index from 3 on has those of 3
+_CLOSURE_KINDS = (ClosureKind.NAT_ADD, ClosureKind.NAT_MUL, ClosureKind.EPSILON_EXP)
+
+
+def _closure_kind(n: int) -> ClosureKind:
+    if n < 1:
+        raise Undefined(f"there are no index-{n} closure points to decide")
+    return _CLOSURE_KINDS[min(n, 3) - 1]
+
+
 def is_hyper_number(n: int, a: Ordinal) -> bool:
-    """Closure of ``a`` under the index-n hyperoperation on pairs below it.
-
-    Decided structurally: index 1 closure points are 0 and the powers of
-    omega, index 2 closure points are 0, 1, 2 and the doubly-indecomposable
-    w^(w^z), and from index 3 on only 0, 1, 2 and omega remain below the
-    notation boundary.  The random-witness refuter in the tests checks the
-    table against the defining condition directly.
-    """
-    if n == 0:
-        raise Undefined("there are no index-0 closure points to decide")
-    if n == 1:
-        return _is_add_closed(a)
-    if n == 2:
-        return _is_mul_closed(a)
-    return _is_exp_closed(a)
+    """Closure of ``a`` under the index-n hyperoperation on pairs below it:
+    the :mod:`.natural` table for addition (n = 1), multiplication (n = 2)
+    and exponentiation (n >= 3, where only 0, 1, 2 and omega remain below
+    the notation boundary)."""
+    return is_closure_number(_closure_kind(n), a)
 
 
-def next_hyper_number(
-    n: int, a: Ordinal, ctx: EvalContext = DEFAULT_CONTEXT
-) -> Ordinal:
+def next_hyper_number(n: int, a: Ordinal) -> Ordinal:
     """Least index-n closure point above ``a``: the index-(n+1) jump to omega."""
-    if not is_hyper_number(n, a):
-        raise Undefined(f"{a!r} is not an index-{n} closure point")
-    if a.is_zero:
-        return ONE
-    if a == ONE and n >= 2:
-        return Ordinal(2)
-    return hyperop(n + 1, a, OMEGA, ctx)
+    return next_closure(_closure_kind(n), a)

@@ -1,5 +1,4 @@
-"""Independent definitional oracle on a small fragment, and seeded random
-value generators.
+"""Independent definitional oracle on a small fragment.
 
 The closed-form ordinal arithmetic is validated against something that does
 not share its code: literal successor/limit unfoldings of the defining
@@ -21,9 +20,6 @@ from typing import NamedTuple
 from .errors import FragmentExceeded
 from .ordinal import ZERO, Ordinal
 from .ordinal import _make as _make_ordinal
-from .surinteger import SurInteger, _make as _make_si
-from .surrational import SurRational
-from .cuts import GaussianSurRational
 
 DEFAULT_BOUND = 8
 _SAMPLES = 16  # cofinal samples used to stabilise a limit
@@ -146,71 +142,3 @@ def def_rec_pow(x: SmallOrdinal, y: SmallOrdinal, bound: int = DEFAULT_BOUND) ->
         return _check(_pow(x, y), bound)
     except _BeyondFragment:
         raise FragmentExceeded(f"{x} ^ {y} leaves the degree-one fragment") from None
-
-
-# ---------------------------------------------------------------------------
-# seeded random generators
-
-
-def random_ordinal(rng, depth: int = 2, max_terms: int = 3, max_coeff: int = 9) -> Ordinal:
-    """Random valid ordinal with bounded nesting depth and coefficients."""
-    if depth == 0:
-        return Ordinal(rng.randrange(0, max_coeff + 1))
-    exps = {}
-    for _ in range(rng.randrange(0, max_terms + 1)):
-        e = random_ordinal(rng, depth - 1, max_terms, max_coeff)
-        exps.setdefault(e, rng.randint(1, max_coeff))
-    ordered = sorted(exps, reverse=True)
-    return _make_ordinal(tuple((e, exps[e]) for e in ordered))
-
-
-def random_ordinal_below(a: Ordinal, rng) -> Ordinal:
-    """Random ordinal strictly below ``a`` (a > 0)."""
-    from .ordinal import compare
-
-    assert a.terms, "no ordinal lies below 0"
-    for _ in range(64):
-        x = _shrink_once(a, rng)
-        if compare(x, a) < 0:
-            return x
-    return ZERO
-
-
-def _shrink_once(a: Ordinal, rng) -> Ordinal:
-    if a.is_finite:
-        return Ordinal(rng.randrange(int(a)))
-    k = rng.randrange(len(a.terms))
-    e, c = a.terms[k]
-    prefix = a.terms[:k]
-    mode = rng.random()
-    if mode < 0.35 and c > 1:
-        tail = ((e, rng.randint(1, c - 1)),)
-        return _make_ordinal(prefix + tail)
-    if mode < 0.7 and e.terms:
-        e2 = random_ordinal_below(e, rng)
-        if not prefix or prefix[-1][0] > e2:
-            extra = ((e2, rng.randint(1, max(1, c))),) if (e2.terms or rng.random() < 0.8) else ()
-            return _make_ordinal(prefix + extra)
-    return _make_ordinal(prefix)
-
-
-def random_surinteger(rng, depth: int = 2, max_terms: int = 3, max_coeff: int = 9) -> SurInteger:
-    """Random valid surinteger: random ordinal shape with random signs."""
-    o = random_ordinal(rng, depth, max_terms, max_coeff)
-    return _make_si(tuple((e, c if rng.random() < 0.5 else -c) for e, c in o.terms))
-
-
-def random_surrational(rng, depth: int = 1, max_terms: int = 2, max_coeff: int = 9) -> SurRational:
-    """Random surrational with a nonzero (hence strictly positive) denominator."""
-    num = random_surinteger(rng, depth, max_terms, max_coeff)
-    den = random_surinteger(rng, depth, max_terms, max_coeff)
-    while den.is_zero:
-        den = random_surinteger(rng, depth, max_terms, max_coeff)
-    return SurRational(num, den)
-
-
-def random_gaussian(rng, depth: int = 1, max_terms: int = 2, max_coeff: int = 9) -> GaussianSurRational:
-    return GaussianSurRational(
-        random_surrational(rng, depth, max_terms, max_coeff),
-        random_surrational(rng, depth, max_terms, max_coeff),
-    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DivisionByZero, ResourceExceeded, Undefined
 
@@ -51,13 +51,6 @@ class Ordinal(tuple):
             raise Undefined("ordinals are non-negative")
         return tuple.__new__(cls, ((ZERO, value),) if value else ())
 
-    @staticmethod
-    def from_terms(terms: Iterable[tuple]) -> "Ordinal":
-        """Build an ordinal from normal-form terms, validating the invariants."""
-        o = _make(tuple(terms))
-        validate(o)
-        return o
-
     @property
     def terms(self) -> tuple:
         """The normal-form terms: the value itself."""
@@ -70,18 +63,6 @@ class Ordinal(tuple):
     @property
     def is_zero(self) -> bool:
         return not self
-
-    @property
-    def leading_exp(self) -> "Ordinal":
-        if not self:
-            raise Undefined("0 has no leading term")
-        return self[0][0]
-
-    @property
-    def leading_coeff(self) -> int:
-        if not self:
-            raise Undefined("0 has no leading term")
-        return self[0][1]
 
     def __int__(self) -> int:
         if not self:

@@ -38,16 +38,14 @@ class SurInteger:
     """Immutable signed normal form; exponents strictly decreasing,
     coefficients nonzero integers."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     terms: tuple
-    _hash: object
 
     def __init__(self, value: int = 0):
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"SurInteger() takes an int, got {value!r}")
         self.terms = ((ZERO, value),) if value else ()
-        self._hash = None
 
     @staticmethod
     def from_terms(terms: Iterable[tuple]) -> "SurInteger":
@@ -80,11 +78,7 @@ class SurInteger:
         return self is other or self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(("si", self.terms))
-            self._hash = h
-        return h
+        return hash(("si", self.terms))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -96,7 +90,6 @@ class SurInteger:
 def _make(terms: tuple) -> SurInteger:
     a = SurInteger.__new__(SurInteger)
     a.terms = terms
-    a._hash = None
     return a
 
 

@@ -3,11 +3,12 @@
 A surrational is a numerator/denominator pair with strictly positive
 denominator.  Equality and order never need a canonical form: both are
 decided by cross-multiplication in the surinteger ring, which is exact and
-total.  Reduction is best-effort only -- the underlying ring has no known
-division algorithm with a greatest common factor, so :func:`reduce` divides
-out what it can find (integer content, a shared monomial, one side dividing
-the other) and the ``reduced`` flag records that the strategy ran, not that
-the pair is provably coprime.
+total.  Reduction is best-effort only.  The ring is Z[x_z], polynomials in
+one variable x_z = w^(w^z) per exponent z, so gcds exist, but :func:`reduce`
+does not compute one: it divides out what it can find (integer content, a
+shared monomial, one side dividing the other), and the ``reduced`` flag
+records that this ran, not that the pair is coprime.  So equal values can
+print different text.
 
 The field truncated at omega is the ordinary rationals and is the only
 Archimedean stage of the tower: :func:`archimedean_witness` finds the

@@ -63,15 +63,12 @@ from transfinita.oracle import (
     def_rec_add,
     def_rec_mul,
     def_rec_pow,
-    random_gaussian,
-    random_ordinal,
-    random_surinteger,
-    random_surrational,
 )
 from transfinita.surinteger import S_ONE, S_ZERO, neg, si_abs
 from transfinita.surrational import Q_ONE, Q_ZERO, q_abs, q_from_int, q_inv, q_sub
 
 from conftest import o, q, si
+from random_values import random_gaussian, random_ordinal, random_surinteger, random_surrational
 
 TWO = Ordinal(2)
 

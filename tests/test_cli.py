@@ -216,6 +216,18 @@ class TestBatch:
         }
 
 
+    def test_large_index_with_a_transfinite_base(self, tmp_path, capsys):
+        # was an internal RecursionError: the index unfolded one call per level
+        (rec,) = self.batch(tmp_path, capsys, "H[500](w, 2)")
+        assert rec["error"] == {
+            "kind": "NotRepresentable",
+            "operation": "H",
+            "message": "the supremum exceeds the notation boundary",
+            "line": 1,
+            "col": 1,
+        }
+
+
 VALUE_KINDS = [
     ("w + 1", Ordinal, "ordinal", "ordinal"),
     ("-w", SurInteger, "surinteger", "surinteger"),

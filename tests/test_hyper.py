@@ -27,10 +27,11 @@ from transfinita import (
     successor,
     tetration,
 )
-from transfinita.oracle import random_ordinal_below
-from transfinita.ordinal import _guard_pow
+from transfinita.hyper import _sup_over_limit
+from transfinita.ordinal import OrdinalClass, _guard_pow, classify, predecessor
 
 from conftest import o, ordinals
+from random_values import random_ordinal_below
 
 
 class TestClauseTable:
@@ -135,6 +136,44 @@ class TestIntegerReference:
                     got = _outcome(lambda: int(hyperop(n, Ordinal(m), Ordinal(k), ctx)))
                     want = _outcome(lambda: _ref_hyper_int(n, m, k, max_digits))
                     assert got == want, (n, m, k, max_digits)
+
+
+# H[n](a, b) for n >= 6 by the index recursion alone, with no shortcut: the
+# reference for hyperop's n >= 6 shortcut.  Indices below 6 are hyperop's.
+def _unfold(n, a, b, ctx):
+    if n < 6:
+        return hyperop(n, a, b, ctx)
+    if b.is_zero:
+        return ONE
+    if b == ONE:
+        return a
+    if b.is_finite:
+        v = a
+        for _ in range(int(b) - 1):
+            v = _unfold(n - 1, a, v, ctx)
+        return v
+    if classify(b) is OrdinalClass.SUCCESSOR:
+        return _unfold(n - 1, a, _unfold(n, a, predecessor(b), ctx), ctx)
+    return _sup_over_limit(lambda k, c: _unfold(n, a, fundamental_sequence(b, k), c), ctx)
+
+
+class TestLargeIndices:
+    BASES = ("2", "3", "w", "w + 1", "w*2", "w^2", "w^w", "w^2*3 + w + 5", "w^(w^2)")
+    SECONDS = ("2", "3", "5", "w", "w + 1", "w*2")
+
+    def test_shortcut_matches_the_unfolding(self):
+        ctx = EvalContext(max_digits=1000)
+        for n in range(6, 13):
+            for a in map(o, self.BASES):
+                for b in map(o, self.SECONDS):
+                    got = _outcome(lambda: hyperop(n, a, b, ctx))
+                    want = _outcome(lambda: _unfold(n, a, b, ctx))
+                    assert got == want, (n, a, b)
+
+    def test_transfinite_base_at_a_large_index(self):
+        # raised RecursionError while the index was unfolded one call per level
+        with pytest.raises(NotRepresentable):
+            hyperop(500, OMEGA, Ordinal(2))
 
 
 class TestTetration:
@@ -253,3 +292,27 @@ class TestHyperClosurePoints:
                 except ResourceExceeded:
                     continue
                 assert compare(v, lam) == LT
+
+    def test_next_at_a_large_index(self):
+        # raised RecursionError while the tower was climbed to index n + 1
+        with pytest.raises(NotRepresentable):
+            next_hyper_number(500, OMEGA)
+
+    def test_next_matches_the_jump_up_the_tower(self):
+        # the defining jump: the index-(n+1) hyperoperation of a and omega
+        def jump(n, a):
+            if not is_hyper_number(n, a):
+                raise Undefined(f"{a!r} is not an index-{n} closure point")
+            if a.is_zero:
+                return ONE
+            if a == ONE and n >= 2:
+                return Ordinal(2)
+            return hyperop(n + 1, a, OMEGA)
+
+        for n in range(1, 7):
+            for a in map(o, ("0", "1", "2", "w", "w^2", "w^w", "w^(w^2)")):
+                got = _outcome(lambda: next_hyper_number(n, a))
+                want = _outcome(lambda: jump(n, a))
+                assert got[0] == want[0], (n, a)
+                if got[0] == "value":
+                    assert got == want, (n, a)

@@ -1,9 +1,10 @@
-"""Layout rule: no public function or class in the package is dead weight.
+"""Layout rules: nothing public in the package is dead weight.
 
 Every public top-level function or class defined in ``src/transfinita`` must
 be exported from the package, used somewhere else in the package, or
 imported by the benchmark in ``bench/``.  Code that only tests use belongs
-under ``tests/``.
+under ``tests/``.  Every public method or property of a public class must be
+read as an attribute somewhere in ``src``, ``tests`` or ``bench``.
 """
 
 import ast
@@ -68,3 +69,37 @@ def _orphans() -> list:
 
 def test_every_public_definition_is_used():
     assert _orphans() == []
+
+
+def _attributes_read(tree: ast.AST) -> set:
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _unread_members() -> list:
+    """Public methods and properties of public classes in the package that
+    nothing in ``src``, ``tests`` or ``bench`` reads as an attribute."""
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *BENCH.glob("*.py")]
+    read = set()
+    for path in paths:
+        read |= _attributes_read(_parse(path))
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in _parse(path).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if (
+                    isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")
+                    and node.name not in read
+                ):
+                    out.append(f"{cls.name}.{node.name}")
+    return out
+
+
+def test_every_public_member_is_read():
+    assert _unread_members() == []

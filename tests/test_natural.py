@@ -27,10 +27,10 @@ from transfinita import (
     si_add,
     si_mul,
 )
-from transfinita.oracle import random_ordinal_below
 from transfinita.ordinal import validate
 
 from conftest import o, ordinals
+from random_values import random_ordinal_below
 
 
 def closure_counterexample(kind: ClosureKind, a: Ordinal, rng, tries: int = 40):

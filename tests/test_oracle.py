@@ -11,15 +11,18 @@ from transfinita.oracle import (
     def_rec_add,
     def_rec_mul,
     def_rec_pow,
+)
+from transfinita.ordinal import compare, validate
+from transfinita.surinteger import CoordinateForm, from_coordinates, si_add, si_mul
+from transfinita.surrational import SurRational
+
+from random_values import (
     random_gaussian,
     random_ordinal,
     random_ordinal_below,
     random_surinteger,
     random_surrational,
 )
-from transfinita.ordinal import compare, validate
-from transfinita.surinteger import CoordinateForm, from_coordinates, si_add, si_mul
-from transfinita.surrational import SurRational
 
 
 def pair_add(x: tuple, y: tuple) -> tuple:

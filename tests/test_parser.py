@@ -24,12 +24,6 @@ from transfinita import (
 )
 from transfinita.expr import evaluate
 from transfinita.hyper import EvalContext
-from transfinita.oracle import (
-    random_gaussian,
-    random_ordinal,
-    random_surinteger,
-    random_surrational,
-)
 from transfinita.ordinal import OrdinalClass
 from transfinita.ordinal import _make as _make_ordinal
 from transfinita.parser import MAX_NESTING, tokenize
@@ -39,6 +33,7 @@ from transfinita.surrational import SurRational
 
 import reference_tree
 from conftest import o, q, si
+from random_values import random_gaussian, random_ordinal, random_surinteger, random_surrational
 
 
 def terms_from_tree(tree: dict) -> tuple:
