@@ -25,7 +25,7 @@ from .ordinal import ONE, ZERO, Ordinal
 from .parser import ParseError, parse
 from .printer import JSON_SCHEMA, VALUE_TYPES, print_canonical, value_tree
 
-CLI_MAX_DIGITS = 100_000  # interactive default; the library default is far larger
+CLI_MAX_DIGITS = 100_000  # interactive default, a tenth of the library's
 
 
 def _build_argparser() -> argparse.ArgumentParser:

@@ -28,7 +28,7 @@ from math import gcd, isqrt
 from typing import Optional
 
 from .errors import DivisionByZero, OutOfField, Undefined
-from .ordinal import GT, LT, Ordinal
+from .ordinal import DEFAULT_MAX_DIGITS, GT, LT, Ordinal, _check_pow_digits
 from .ordinal import _make as _make_ordinal
 from .surinteger import (
     SurInteger,
@@ -85,11 +85,11 @@ class RootCut:
             raise Undefined("root cuts need a strictly positive radicand")
 
 
-def cut_member(cut, p: SurRational) -> bool:
+def cut_member(cut, p: SurRational, max_digits: int = DEFAULT_MAX_DIGITS) -> bool:
     """Exact membership of ``p`` in the cut's left set.
 
-    Raises OutOfField when ``p`` does not live in the ambient truncated
-    field.
+    Raises OutOfField when ``p`` is outside the ambient truncated field, and
+    ResourceExceeded when a root cut's n-th powers may pass ``max_digits``.
     """
     if not in_lambda_field(p, cut.lam):
         raise OutOfField(f"{p!r} is not in the field truncated at {cut.lam!r}")
@@ -97,6 +97,9 @@ def cut_member(cut, p: SurRational) -> bool:
         lhs = si_mul(p.num, cut.q.den)
         rhs = si_mul(p.den, cut.q.num)
         return si_compare(lhs, rhs) == LT
+    # every coefficient of x^n is at most (sum of |coefficients of x|)^n
+    for x in (p.num, p.den):
+        _check_pow_digits(sum(abs(c) for _, c in x.terms), cut.n, max_digits)
     lhs = si_mul(si_pow(p.num, cut.n), cut.q.den)
     rhs = si_mul(si_pow(p.den, cut.n), cut.q.num)
     return si_compare(lhs, rhs) == LT

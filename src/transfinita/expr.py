@@ -223,7 +223,7 @@ def run(
                 name, n = arg
                 args = stack[len(stack) - n :]
                 del stack[len(stack) - n :]
-                push(_call(name, args, ambient))
+                push(_call(name, args, ambient, ctx))
             elif tag == "H":
                 b, a = pop(), pop()
                 stack[-1] = hyperop(as_ordinal(stack[-1]), as_ordinal(a), as_ordinal(b), ctx)
@@ -269,7 +269,7 @@ def _binop(op: str, x: Value, y: Value, ctx: EvalContext) -> Value:
     raise Undefined(f"unknown operator {op!r}")
 
 
-def _call(name: str, args: list, ambient: Ordinal) -> Value:
+def _call(name: str, args: list, ambient: Ordinal, ctx: EvalContext) -> Value:
     if name == "complex":
         if len(args) != 2:
             raise Undefined("complex takes a real part and an imaginary part")
@@ -288,7 +288,7 @@ def _call(name: str, args: list, ambient: Ordinal) -> Value:
             spec = RootCut(cut.q, cut.n, lam)
         else:
             spec = RationalCut(as_surrational(cut), lam)
-        return cut_member(spec, as_surrational(args[1]))
+        return cut_member(spec, as_surrational(args[1]), ctx.max_digits)
     if name == "classify":
         if len(args) != 1:
             raise Undefined("classify takes one argument")

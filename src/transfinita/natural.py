@@ -39,6 +39,7 @@ from .ordinal import (
     ONE,
     ZERO,
     Ordinal,
+    _finite,
     _make,
     rec_mul,
     rec_pow,
@@ -71,12 +72,16 @@ def _merge_terms(ta, tb) -> list:
 
 
 def _convolve_terms(ta, tb) -> tuple:
-    """Distributive product of two term lists: exponents add naturally, like
-    terms collect, and coefficients that cancel to zero drop out."""
+    """Distributive product of two term lists: exponents add naturally (finite
+    ones as integers, via ``_finite``), like terms collect, zero sums drop out."""
     bucket: dict = {}
     for ea, ca in ta:
+        ka = ea[0][1] if ea and not ea[0][0] else 0
         for eb, cb in tb:
-            e = nat_add(ea, eb)
+            if ka and eb and not eb[0][0]:
+                e = _finite(ka + eb[0][1])
+            else:
+                e = nat_add(ea, eb)
             bucket[e] = bucket.get(e, 0) + ca * cb
     exps = sorted((e for e, c in bucket.items() if c), reverse=True)
     return tuple((e, bucket[e]) for e in exps)

@@ -25,7 +25,7 @@ LT, EQ, GT = -1, 0, 1
 
 # Digit budget for finite powers.  A guard estimates the decimal size of
 # m**n before computing it and raises ResourceExceeded past the budget.
-DEFAULT_MAX_DIGITS = 2**64
+DEFAULT_MAX_DIGITS = 10**6
 
 
 class Ordinal(tuple):
@@ -93,6 +93,23 @@ def _make(terms: tuple) -> Ordinal:
 ZERO = Ordinal(0)
 ONE = Ordinal(1)
 OMEGA: Ordinal = _make(((ONE, 1),))
+
+# Finite ordinals by value, for the term kernel's finite exponent sums and
+# for number literals.  Emptied when full; values past 2^64 are not kept.
+_FINITE_TABLE: dict = {}
+_FINITE_TABLE_SIZE = 1024
+
+
+def _finite(k: int) -> Ordinal:
+    """The ordinal k, for an int k >= 0, from the finite-ordinal table."""
+    o = _FINITE_TABLE.get(k)
+    if o is None:
+        o = _make(((ZERO, k),) if k else ())
+        if len(_FINITE_TABLE) >= _FINITE_TABLE_SIZE:
+            _FINITE_TABLE.clear()
+        if not k >> 64:
+            _FINITE_TABLE[k] = o
+    return o
 
 
 def validate(o: Ordinal) -> None:
@@ -201,19 +218,16 @@ def rec_mul(a: Ordinal, b: Ordinal) -> Ordinal:
     return out
 
 
-def _guard_pow(base: int, exp: int, max_digits: int) -> int:
-    """base**exp with an up-front decimal-digit budget check."""
-    if base <= 1 or exp <= 1:
-        return base**exp
+def _check_pow_digits(base: int, exp: int, max_digits: int) -> None:
+    """Raise ResourceExceeded if base**exp (base, exp >= 0) may pass max_digits."""
     # bits(result) = exp*log2(base) <= exp*bit_length(base); digits ~ bits*0.30103
     est_digits = exp * base.bit_length() * 30103 // 100000 + 1
-    if est_digits > max_digits:
+    if base > 1 and exp > 1 and est_digits > max_digits:
         # the estimate itself can be astronomical: report only its size
         raise ResourceExceeded(
             f"finite power needs a number with more than 10^{est_digits.bit_length() // 4} "
             f"digits, budget is 10^{len(str(max_digits)) - 1}-ish ({max_digits})"
         )
-    return base**exp
 
 
 def _int_log_floor(c: int, m: int) -> int:
@@ -268,7 +282,8 @@ def rec_pow(a: Ordinal, b: Ordinal, max_digits: int = DEFAULT_MAX_DIGITS) -> Ord
     if a.is_finite:
         m = int(a)
         if b.is_finite:
-            return Ordinal(_guard_pow(m, int(b), max_digits))
+            _check_pow_digits(m, int(b), max_digits)
+            return Ordinal(m ** int(b))
         # m^(w^e * k) = w^(w^(e-1) * k) for finite e, w^(w^e * k) for limit e
         head_exp = ZERO
         for e, k in b:
@@ -276,7 +291,8 @@ def rec_pow(a: Ordinal, b: Ordinal, max_digits: int = DEFAULT_MAX_DIGITS) -> Ord
                 head_exp = rec_add(head_exp, _make(((_dec_exp(e), k),)))
         head = _make(((head_exp, 1),))
         if finite_part:
-            return rec_mul(head, Ordinal(_guard_pow(m, finite_part, max_digits)))
+            _check_pow_digits(m, finite_part, max_digits)
+            return rec_mul(head, Ordinal(m**finite_part))
         return head
     za = a[0][0]
     if len(a) == 1 and a[0][1] == 1:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .ordinal import OMEGA, Ordinal
+from .ordinal import OMEGA, _finite
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ class _Parser:
                 raise ParseError(Diagnostic(
                     f"number literal is too long ({len(text)} digits)", line, col
                 )) from None
-            self.emit(("const", span, Ordinal(value)))
+            self.emit(("const", span, _finite(value)))
         elif kind == "ident":
             self.pos += 1
             nxt = self.tokens[self.pos][1]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import settings
@@ -29,6 +30,17 @@ def si(text: str) -> SurInteger:
 
 def q(text: str) -> SurRational:
     return as_surrational(evaluate(parse(text)))
+
+
+@pytest.fixture(autouse=True)
+def default_recursion_limit():
+    # bench/test_bench.py raises the limit when it is imported, and pytest
+    # collects both directories first; the tests here are written for the
+    # interpreter's default (w ^^ 249 must overflow it, for one)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
 
 
 @pytest.fixture

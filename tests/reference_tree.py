@@ -322,7 +322,7 @@ def _funcapp(e, env, ctx, ambient):
                 spec = RootCut(cut.q, cut.n, lam)
             else:
                 spec = RationalCut(as_surrational(cut), lam)
-            return cut_member(spec, as_surrational(args[1]))
+            return cut_member(spec, as_surrational(args[1]), ctx.max_digits)
         if e.name == "classify":
             if len(args) != 1:
                 raise Undefined("classify takes one argument")

@@ -216,6 +216,22 @@ class TestBatch:
         }
 
 
+    def test_root_cut_powers_are_budgeted(self, tmp_path, capsys):
+        # the first line used to run on with no budget
+        recs = self.batch(
+            tmp_path, capsys,
+            "member(sqrt[100000000](2), 3/2)", "member(sqrt[100000](2), 3/2)",
+        )
+        assert recs[0]["error"] == {
+            "kind": "ResourceExceeded",
+            "operation": "member",
+            "message": "finite power needs a number with more than 10^6 digits, "
+            "budget is 10^5-ish (100000)",
+            "line": 1,
+            "col": 1,
+        }
+        assert recs[1]["canonical"] == "false"
+
     def test_large_index_with_a_transfinite_base(self, tmp_path, capsys):
         # was an internal RecursionError: the index unfolded one call per level
         (rec,) = self.batch(tmp_path, capsys, "H[500](w, 2)")

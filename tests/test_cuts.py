@@ -15,6 +15,7 @@ from transfinita import (
     InvalidLambda,
     OutOfField,
     RationalCut,
+    ResourceExceeded,
     RootCut,
     Undefined,
     classify_root_cut,
@@ -65,6 +66,18 @@ class TestCutMembership:
         assert cut_member(cut, q("49/100"))
         assert not cut_member(cut, q("1/2"))
         assert not cut_member(cut, q("51/100"))
+
+    def test_powers_are_budgeted(self):
+        # (3/2)^(10^8) needs a numerator of about 4.8e7 digits
+        with pytest.raises(ResourceExceeded):
+            cut_member(RootCut(q_from_int(2), 10**8, OMEGA), q("3/2"))
+        # 3^100000 has 47,713 digits
+        assert not cut_member(RootCut(q_from_int(2), 100_000, OMEGA), q("3/2"), 100_000)
+        # the bound adds the coefficients: 2^400 is 121 digits, (w + 1)^400 has none larger
+        with pytest.raises(ResourceExceeded):
+            cut_member(RootCut(q("w/1"), 400, WW), q("w + 1"), 100)
+        # coefficients of 1 stay 1 at any power
+        assert not cut_member(RootCut(q("w/1"), 10**8, WW), q("w/1"), 10)
 
     def test_out_of_field(self):
         cut = RationalCut(q("1/2"), OMEGA)

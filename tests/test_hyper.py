@@ -28,7 +28,7 @@ from transfinita import (
     tetration,
 )
 from transfinita.hyper import _sup_over_limit
-from transfinita.ordinal import OrdinalClass, _guard_pow, classify, predecessor
+from transfinita.ordinal import OrdinalClass, _check_pow_digits, classify, predecessor
 
 from conftest import o, ordinals
 from random_values import random_ordinal_below
@@ -99,12 +99,18 @@ class TestFiniteIndexTowers:
         with pytest.raises(ResourceExceeded):
             hyperop(5, Ordinal(3), Ordinal(3), EvalContext(max_digits=10**6))
 
+    def test_default_budget_stops_unbuildable_towers(self):
+        # 3^^4 = 3^(3^27) has about 3.6e12 digits: refused before 3**7625597484987
+        with pytest.raises(ResourceExceeded):
+            tetration(Ordinal(3), Ordinal(4))
+
 
 # H[i](m, x) unfolded on plain ints for i >= 3: the reference for the one
 # Ordinal recursion that hyperop runs on finite and transfinite arguments.
 def _ref_hyper_int(i, m, x, max_digits):
     if i == 3:
-        return _guard_pow(m, x, max_digits)
+        _check_pow_digits(m, x, max_digits)
+        return m**x
     if m == 0:
         return 1 if x % 2 == 0 else 0
     if m == 1:

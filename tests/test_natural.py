@@ -3,7 +3,8 @@
 import random
 
 import pytest
-from hypothesis import given
+import hypothesis.strategies as st
+from hypothesis import example, given
 
 from transfinita import (
     LT,
@@ -27,9 +28,11 @@ from transfinita import (
     si_add,
     si_mul,
 )
-from transfinita.ordinal import validate
+from transfinita.natural import _convolve_terms
+from transfinita.ordinal import _FINITE_TABLE, _FINITE_TABLE_SIZE, _finite, _make, validate
+from transfinita.surinteger import validate as validate_si
 
-from conftest import o, ordinals
+from conftest import _merge_surinteger, o, ordinals
 from random_values import random_ordinal_below
 
 
@@ -210,6 +213,55 @@ class TestSharedTermKernel:
         sa, sb = SurInteger.from_ordinal(a), SurInteger.from_ordinal(b)
         assert tuple(nat_add(a, b)) == si_add(sa, sb).terms
         assert tuple(nat_mul(a, b)) == si_mul(sa, sb).terms
+
+
+def _convolve_by_nat_add(ta, tb) -> tuple:
+    # the kernel's pair loop with every exponent sum taken by nat_add
+    bucket = {}
+    for ea, ca in ta:
+        for eb, cb in tb:
+            e = nat_add(ea, eb)
+            bucket[e] = bucket.get(e, 0) + ca * cb
+    exps = sorted((e for e, c in bucket.items() if c), reverse=True)
+    return tuple((e, bucket[e]) for e in exps)
+
+
+# zero, finite sums below and past the table's size, finite values too
+# large for the table, and transfinite exponents
+_KERNEL_EXPONENTS = st.one_of(
+    st.just(ZERO),
+    st.integers(1, 4).map(Ordinal),
+    st.integers(1, 3 * _FINITE_TABLE_SIZE).map(Ordinal),
+    st.integers(10**30, 10**30 + 2).map(Ordinal),
+    ordinals(depth=2).filter(lambda e: not e.is_finite),
+)
+_KERNEL_TERMS = st.lists(
+    st.tuples(_KERNEL_EXPONENTS, st.integers(-2, 2).filter(bool)), max_size=5
+).map(lambda pairs: _merge_surinteger(pairs).terms)
+
+
+class TestConvolutionKernel:
+    @given(_KERNEL_TERMS, _KERNEL_TERMS)
+    @example(((ONE, 1), (ZERO, 1)), ((ONE, 1), (ZERO, -1)))  # (w+1)(w-1) = w^2 - 1
+    @example(((Ordinal(700), 1),), ((Ordinal(700), 1), (ZERO, 1)))
+    def test_same_product_as_nat_add_on_every_pair(self, ta, tb):
+        got = _convolve_terms(ta, tb)
+        assert got == _convolve_by_nat_add(ta, tb)
+        assert all(type(e) is Ordinal for e, _ in got)
+        validate_si(SurInteger.from_terms(got))
+
+    def test_finite_table_stays_within_its_size(self):
+        # 5,000 distinct finite sums w * w^k = w^(k+1), then sums past 2^64
+        peak = 0
+        for k in range(1, 5001):
+            wk = _make(((Ordinal(k), 1),))
+            assert nat_mul(OMEGA, wk) == _make(((Ordinal(k + 1), 1),))
+            peak = max(peak, len(_FINITE_TABLE))
+        assert peak == _FINITE_TABLE_SIZE
+        big = _finite(2**64)
+        assert big == Ordinal(2**64) and 2**64 not in _FINITE_TABLE
+        assert nat_mul(_make(((big, 1),)), OMEGA) == _make(((Ordinal(2**64 + 1), 1),))
+        assert len(_FINITE_TABLE) <= _FINITE_TABLE_SIZE
 
 
 class TestNextClosure:

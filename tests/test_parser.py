@@ -15,6 +15,7 @@ from transfinita import (
     NotRepresentable,
     Ordinal,
     ParseError,
+    ZERO,
     Undefined,
     parse,
     print_canonical,
@@ -24,7 +25,7 @@ from transfinita import (
 )
 from transfinita.expr import evaluate
 from transfinita.hyper import EvalContext
-from transfinita.ordinal import OrdinalClass
+from transfinita.ordinal import OrdinalClass, _finite
 from transfinita.ordinal import _make as _make_ordinal
 from transfinita.parser import MAX_NESTING, tokenize
 from transfinita.printer import ordinal_tree, surrational_tree
@@ -204,6 +205,11 @@ class TestTokenizer:
     @example("w^(w^2*3 + w) +. 1\n  -. ² x²")
     def test_matches_reference(self, source):
         assert _lexed(tokenize, source) == _lexed(_ref_tokenize, source)
+
+    def test_literals_come_from_the_finite_table(self):
+        (_, _, five), (_, _, zero) = parse("5 + 0")[:2]
+        assert five is _finite(5) and type(five) is Ordinal and five == Ordinal(5)
+        assert zero == ZERO and type(zero) is Ordinal
 
     def test_over_long_literal_is_a_diagnostic(self):
         _, diag = try_parse("1" * 2_000_001 + " + 1")
