@@ -23,7 +23,7 @@ from .hyper import EvalContext
 from .oracle import DEFAULT_BOUND, SmallOrdinal, def_rec_add, def_rec_mul
 from .ordinal import ONE, ZERO, Ordinal
 from .parser import ParseError, parse
-from .printer import JSON_SCHEMA, VALUE_TYPES, print_canonical, value_tree
+from .printer import JSON_SCHEMA, VALUE_TYPES, encode, print_canonical
 
 CLI_MAX_DIGITS = 100_000  # interactive default, a tenth of the library's
 
@@ -99,18 +99,20 @@ def _eval_line(line, env, ctx, ambient, use_oracle):
     return value, warning
 
 
-def _record(line: str, env, ctx, ambient, use_oracle) -> dict:
-    rec = {"schema": JSON_SCHEMA, "input": line}
+def _record_text(line: str, env, ctx, ambient, use_oracle) -> str:
+    """The line's JSON record, as ``batch`` prints it: the value's JSON text
+    from the printer's walk is spliced in, not decoded and encoded again."""
+    head = f'{{"schema": "{JSON_SCHEMA}", "input": {json.dumps(line)}, '
     try:
         value, warning = _eval_line(line, env, ctx, ambient, use_oracle)
-        # both before either is stored: a failing printer leaves no half record
-        tree, canonical = value_tree(value), print_canonical(value)
-        rec["value"], rec["canonical"] = tree, canonical
+        value_json, canonical = encode(value)
+        tail = f'"value": {value_json}, "canonical": {json.dumps(canonical)}'
         if warning:
-            rec["warning"] = warning
+            tail += f', "warning": {json.dumps(warning)}'
+        return f"{head}{tail}}}"
     except ParseError as err:
         d = err.diagnostic
-        rec["error"] = {
+        error = {
             "kind": "parse",
             "message": d.message,
             "line": d.line,
@@ -119,7 +121,7 @@ def _record(line: str, env, ctx, ambient, use_oracle) -> dict:
         }
     except EvalError as err:
         line_no, col = err.span or (None, None)
-        rec["error"] = {
+        error = {
             "kind": type(err.origin).__name__,
             "operation": err.operation,
             "message": str(err.origin),
@@ -127,10 +129,20 @@ def _record(line: str, env, ctx, ambient, use_oracle) -> dict:
             "col": col,
         }
     except TransfinitaError as err:
-        rec["error"] = {"kind": type(err).__name__, "message": str(err)}
+        error = {"kind": type(err).__name__, "message": str(err)}
     except Exception as err:  # a defect, not a user error: report it, keep going
-        rec["error"] = {"kind": "internal", "message": _defect_message(err)}
-    return rec
+        error = {"kind": "internal", "message": _defect_message(err)}
+    return f'{head}"error": {json.dumps(error)}}}'
+
+
+def _is_error(text: str) -> bool:
+    # a quote inside a JSON string is escaped, so this can only be the key
+    return '"error": ' in text
+
+
+def _record(line: str, env, ctx, ambient, use_oracle) -> dict:
+    """The line's record as a dict; ``json.dumps`` of it is the batch line."""
+    return json.loads(_record_text(line, env, ctx, ambient, use_oracle))
 
 
 def _defect_message(err: Exception) -> str:
@@ -143,10 +155,11 @@ def _defect_message(err: Exception) -> str:
 
 def _cmd_eval(args, ctx) -> int:
     env: dict = {}
-    rec = _record(args.expression, env, ctx, DEFAULT_AMBIENT, args.oracle)
+    text = _record_text(args.expression, env, ctx, DEFAULT_AMBIENT, args.oracle)
     if args.json:
-        print(json.dumps(rec))
-        return 0 if "error" not in rec else 1
+        print(text)
+        return 1 if _is_error(text) else 0
+    rec = json.loads(text)
     if "error" in rec:
         print(f"error: {rec['error']['kind']}: {rec['error']['message']}", file=sys.stderr)
         return 1
@@ -164,9 +177,10 @@ def _cmd_batch(args, ctx) -> int:
             line = raw.strip()
             if not line:
                 continue
-            rec = _record(line, env, ctx, DEFAULT_AMBIENT, args.oracle)
-            failed = failed or "error" in rec
-            print(json.dumps(rec))
+            text = _record_text(line, env, ctx, DEFAULT_AMBIENT, args.oracle)
+            failed = failed or _is_error(text)
+            # one write per record: under python -u, print makes two
+            sys.stdout.write(text + "\n")
     return 1 if failed else 0
 
 

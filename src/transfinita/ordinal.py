@@ -404,22 +404,70 @@ def depth(a: Ordinal) -> int:
     return 1 + max(depth(e) for e, _ in a)
 
 
+# Deepest normal form that output walks: depth(w ^^ k) is k, and the batch
+# record of w ^^ 250 nests 756 levels, which a default ``json.loads`` reads.
+# The walk takes one Python frame per level and raises ResourceExceeded
+# past the cap instead of nesting further.
+MAX_PRINT_DEPTH = 250
+
+
+def _too_deep() -> ResourceExceeded:
+    return ResourceExceeded(
+        f"value nested too deeply to print (more than {MAX_PRINT_DEPTH} levels)"
+    )
+
+
+def _encode_terms(terms, memo: dict, level: int) -> tuple:
+    """One walk of a term sequence at nesting ``level``: its JSON array text,
+    its canonical text and its depth.
+
+    ``terms`` are an ordinal's, or a surinteger's with signed coefficients.
+    ``memo`` maps each exponent object already met in the value to its
+    ``{"terms": [...]}`` JSON, its ``w^...`` body text and its depth plus
+    one, so each shared subterm is rendered once.  It is keyed by ``id``:
+    the value keeps its exponents alive through the walk, equal exponents
+    are nearly always one shared object, and hashing a nested tuple would
+    walk all of it at every level.
+    """
+    if level > MAX_PRINT_DEPTH:
+        raise _too_deep()
+    js = []
+    parts = []
+    height = 0
+    for e, c in terms:
+        cs = str(c)
+        if c < 0:
+            parts.append(" - ")
+            ct = cs[1:]
+        else:
+            parts.append(" + ")
+            ct = cs
+        if not e:
+            js.append(f'{{"exp": {{"terms": []}}, "coeff": "{cs}"}}')
+            parts.append(ct)
+            continue
+        m = memo.get(id(e))
+        if m is None:
+            ej, et, eh = _encode_terms(e, memo, level + 1)
+            if not e[0][0]:
+                body = "w" if et == "1" else "w^" + et
+            elif et == "w":
+                body = "w^w"
+            else:
+                body = f"w^({et})"
+            m = memo[id(e)] = (f'{{"terms": {ej}}}', body, eh + 1)
+        elif level + m[2] > MAX_PRINT_DEPTH:
+            raise _too_deep()
+        js.append(f'{{"exp": {m[0]}, "coeff": "{cs}"}}')
+        parts.append(m[1] if ct == "1" else f"{m[1]}*{ct}")
+        if m[2] > height:
+            height = m[2]
+    if not parts:
+        return "[]", "0", 0
+    parts[0] = "-" if parts[0] == " - " else ""
+    return f"[{', '.join(js)}]", "".join(parts), height
+
+
 def ordinal_str(a: Ordinal) -> str:
     """Canonical text form, e.g. ``w^(w^2)*3 + w*2 + 7``."""
-    if not a:
-        return "0"
-    return " + ".join(_term_str(e, c) for e, c in a)
-
-
-def _term_str(e: Ordinal, c: int) -> str:
-    if not e:
-        return str(c)
-    if e == ONE:
-        body = "w"
-    elif e.is_finite:
-        body = f"w^{int(e)}"
-    elif e == OMEGA:
-        body = "w^w"
-    else:
-        body = f"w^({ordinal_str(e)})"
-    return body if c == 1 else f"{body}*{c}"
+    return _encode_terms(a, {}, 0)[1]

@@ -30,7 +30,7 @@ from .ordinal import (
     Ordinal,
     validate as validate_ordinal,
 )
-from .ordinal import _binary_pow, _term_str
+from .ordinal import _binary_pow, _encode_terms
 from .ordinal import _make as _make_ordinal
 
 
@@ -231,16 +231,7 @@ def content(a: SurInteger) -> int:
 
 def surinteger_str(a: SurInteger) -> str:
     """Canonical signed text form, e.g. ``w^2*2 - w*3 + 1``."""
-    if not a.terms:
-        return "0"
-    parts = []
-    for i, (e, c) in enumerate(a.terms):
-        body = _term_str(e, abs(c))
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return _encode_terms(a.terms, {}, 0)[1]
 
 
 def to_ordinal(a: SurInteger):

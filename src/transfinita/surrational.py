@@ -21,6 +21,7 @@ from math import gcd
 
 from .errors import NO_WITNESS, NOT_DIVISIBLE, DivisionByZero, Undefined
 from .ordinal import LT, Ordinal
+from .ordinal import _encode_terms
 from .ordinal import _make as _make_ordinal
 from .surinteger import (
     S_ONE,
@@ -36,7 +37,6 @@ from .surinteger import (
     si_mul,
     si_scale,
     si_sub,
-    surinteger_str,
 )
 
 
@@ -262,16 +262,27 @@ def midpoint(p: SurRational, q: SurRational) -> SurRational:
     return q_mul(q_add(p, q), Q_HALF)
 
 
-def surrational_str(p: SurRational) -> str:
-    """Canonical text form ``num / den``; the denominator is omitted when 1."""
-    num_s = surinteger_str(p.num)
+def _encode(p: SurRational, memo: dict) -> tuple:
+    """The JSON members ``"num": ..., "den": ..., "reduced": ...`` and the
+    canonical text ``num / den`` of ``p``, from one walk sharing ``memo``;
+    the denominator is omitted from the text when 1."""
+    num_j, num_s, _ = _encode_terms(p.num.terms, memo, 0)
+    den_j, den_s, _ = _encode_terms(p.den.terms, memo, 0)
+    fields = (
+        f'"num": {{"terms": {num_j}}}, "den": {{"terms": {den_j}}}, '
+        f'"reduced": {"true" if p.reduced else "false"}'
+    )
     if p.den == S_ONE:
-        return num_s
+        return fields, num_s
     if len(p.num.terms) > 1:
         num_s = f"({num_s})"
-    den_s = surinteger_str(p.den)
     # a lone number or a coefficient-free power parses unambiguously after /
     e, c = p.den.terms[0]
     if len(p.den.terms) > 1 or (e and c != 1):
         den_s = f"({den_s})"
-    return f"{num_s} / {den_s}"
+    return fields, f"{num_s} / {den_s}"
+
+
+def surrational_str(p: SurRational) -> str:
+    """Canonical text form ``num / den``."""
+    return _encode(p, {})[1]

@@ -36,7 +36,8 @@ def q(text: str) -> SurRational:
 def default_recursion_limit():
     # bench/test_bench.py raises the limit when it is imported, and pytest
     # collects both directories first; the tests here are written for the
-    # interpreter's default (w ^^ 249 must overflow it, for one)
+    # interpreter's default (the parser's nesting cap and the printer's
+    # depth cap must hold under it, for two)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     yield

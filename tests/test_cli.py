@@ -15,11 +15,23 @@ from transfinita import (
 )
 from transfinita.cli import main
 from transfinita.oracle import SmallOrdinal
+from transfinita.ordinal import MAX_PRINT_DEPTH
 from transfinita.parser import MAX_NESTING
 from transfinita.errors import Undefined
 from transfinita.expr import CutHandle, EvalError, evaluate
 from transfinita.parser import parse
-from transfinita.printer import value_tree
+from transfinita.printer import encode, print_canonical, value_tree
+
+
+def _failing_on(bad, fn):
+    """``fn``, except that it raises RuntimeError, a defect, on ``bad``."""
+
+    def failing(v):
+        if type(v) is type(bad) and v == bad:
+            raise RuntimeError("printer defect")
+        return fn(v)
+
+    return failing
 
 
 def run(capsys, *argv):
@@ -139,15 +151,16 @@ class TestBatch:
         assert code == 1
         assert "value" in lines[0] and "error" in lines[1]
 
-    def test_internal_error_does_not_end_the_run(self, tmp_path, capsys):
-        # w ^^ 249 overflows the interpreter stack in the ordinal walkers
+    def test_internal_error_does_not_end_the_run(self, monkeypatch, tmp_path, capsys):
+        # a defect in the printer on the first line only
+        monkeypatch.setattr("transfinita.cli.encode", _failing_on(Ordinal(7), encode))
         deep = tmp_path / "deep.txt"
-        deep.write_text("w ^^ 249\n1 + 1\n")
+        deep.write_text("7\n1 + 1\n")
         code, out, _ = run(capsys, "batch", str(deep))
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert code == 1 and len(lines) == 2
         assert lines[0]["error"]["kind"] == "internal" and "value" not in lines[0]
-        assert lines[0]["error"]["message"].startswith("RecursionError")
+        assert lines[0]["error"]["message"].startswith("RuntimeError")
         assert lines[1]["canonical"] == "2"
 
     def batch(self, tmp_path, capsys, *sources):
@@ -243,6 +256,23 @@ class TestBatch:
             "col": 1,
         }
 
+    def test_values_too_deep_to_print(self, tmp_path, capsys):
+        # internal RecursionError records before the walk had a depth cap
+        recs = self.batch(
+            tmp_path, capsys, "w ^^ 249", "w ^^ 250", "w ^^ 251", "w ^^ 2000", "H[4](w, 5000)",
+        )
+        assert [r["canonical"].count("w") for r in recs[:2]] == [249, 250]
+        too_deep = {
+            "kind": "ResourceExceeded",
+            "message": f"value nested too deeply to print (more than {MAX_PRINT_DEPTH} levels)",
+        }
+        assert [r["error"] for r in recs[2:]] == [too_deep] * 3
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_eval_of_a_value_too_deep_to_print(self, capsys, flags):
+        code, out, err = run(capsys, *flags, "eval", "w ^^ 2000")
+        assert code == 1 and "ResourceExceeded" in out + err and "Traceback" not in err
+
 
 VALUE_KINDS = [
     ("w + 1", Ordinal, "ordinal", "ordinal"),
@@ -317,10 +347,13 @@ class TestRepl:
         assert err.count("warning: oracle mismatch") == 1
 
     def test_defects_do_not_kill_the_loop(self, monkeypatch, capsys):
-        # past the recursion ceiling: an internal error, not the end of the session
-        code, out, err = self._run_repl(monkeypatch, capsys, ["w ^^ 249", "1 + 1", ":quit"])
+        # a defect in the printer: an internal error, not the end of the session
+        monkeypatch.setattr(
+            "transfinita.cli.print_canonical", _failing_on(Ordinal(7), print_canonical)
+        )
+        code, out, err = self._run_repl(monkeypatch, capsys, ["7", "1 + 1", ":quit"])
         assert code == 0
-        assert "error: internal: RecursionError" in err
+        assert "error: internal: RuntimeError" in err
         assert out.splitlines()[-1] == "2"
 
     def test_eof_ends_session(self, monkeypatch, capsys):

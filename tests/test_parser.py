@@ -28,7 +28,6 @@ from transfinita.hyper import EvalContext
 from transfinita.ordinal import OrdinalClass, _finite
 from transfinita.ordinal import _make as _make_ordinal
 from transfinita.parser import MAX_NESTING, tokenize
-from transfinita.printer import ordinal_tree, surrational_tree
 from transfinita.surinteger import _make as _make_si
 from transfinita.surrational import SurRational
 
@@ -38,8 +37,8 @@ from random_values import random_gaussian, random_ordinal, random_surinteger, ra
 
 
 def terms_from_tree(tree: dict) -> tuple:
-    """Inverse of ``ordinal_tree``: the term sequence of an ordinal or of a
-    surinteger."""
+    """Inverse of the ``terms`` tree in ``value_tree``: the term sequence of
+    an ordinal or of a surinteger."""
     return tuple(
         (_make_ordinal(terms_from_tree(t["exp"])), int(t["coeff"])) for t in tree["terms"]
     )
@@ -429,13 +428,13 @@ class TestCanonicalPrinting:
 
 class TestJsonTrees:
     def test_ordinal_coefficients_are_strings(self):
-        t = ordinal_tree(o("w^2*3 + 1"))
+        t = value_tree(o("w^2*3 + 1"))
         assert t["terms"][0]["coeff"] == "3"
         assert _make_ordinal(terms_from_tree(t)) == o("w^2*3 + 1")
 
     def test_surrational_tree_round_trip(self):
         p = q("(w*3 - 2) / (w^2 + 1)")
-        t = surrational_tree(p)
+        t = value_tree(p)
         num, den = (_make_si(terms_from_tree(t[k])) for k in ("num", "den"))
         assert SurRational(num, den, reduced=t["reduced"]) == p
 
