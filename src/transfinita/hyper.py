@@ -2,21 +2,13 @@
 
 ``hyperop(i, a, b)`` climbs successor -> addition -> multiplication ->
 exponentiation -> tetration -> ...; index 0..3 dispatch to the closed-form
-recursive operations, finite indices >= 4 unfold the tower recursion, and
-index omega takes the diagonal over all finite indices (supported for
-finite arguments, which is the only case with a defined closed answer here).
+recursive operations, finite indices >= 4 unfold the tower recursion on
+finite heights, and index omega takes the supremum over all finite indices.
 
-Limit second arguments are evaluated as suprema along the canonical cofinal
-sequence of the limit (decrement the least-significant term, unfold one
-omega).  The supremum of the sampled value sequence is taken symbolically:
-
-* an eventually constant sequence is its own supremum;
-* strictly increasing finite values climb to omega;
-* a fixed shape whose trailing coefficient climbs bumps to the next power;
-* a fixed shape whose trailing exponent climbs takes the exponent supremum;
-* strictly growing nesting depth means the supremum has no finite normal
-  form and raises NotRepresentable;
-* anything else is refused as Unsupported rather than guessed.
+Below epsilon-zero every value at a transfinite height, or at index omega,
+has a closed form read off the closure points: ``w`` for a finite base of at
+least 2, NotRepresentable for a transfinite base (``a ^^ w`` is already
+epsilon-zero), and the parity of the height's finite part for base 0.
 
 Finite values are guarded by an explicit digit budget carried in
 :class:`EvalContext` (never global state); towers that would not fit raise
@@ -25,7 +17,7 @@ ResourceExceeded before any huge integer is materialised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NotRepresentable, ResourceExceeded, Undefined, Unsupported
 from .natural import ClosureKind, is_closure_number, next_closure
@@ -38,7 +30,6 @@ from .ordinal import (
     OrdinalClass,
     _make,
     classify,
-    depth,
     predecessor,
     rec_add,
     rec_mul,
@@ -46,11 +37,8 @@ from .ordinal import (
     successor,
 )
 
-# intermediate samples inside a supremum never need more room than this
-_SUP_SAMPLE_DIGITS = 10**6
-# cofinal samples taken to read off a supremum
-_SUP_SAMPLES = 8
 _TWO, _FOUR = Ordinal(2), Ordinal(4)
+_PAST_BOUNDARY = "the supremum exceeds the notation boundary"
 
 
 @dataclass(frozen=True)
@@ -92,10 +80,11 @@ def hyperop(index, a: Ordinal, b: Ordinal, ctx: EvalContext = DEFAULT_CONTEXT) -
 
     Index 0 is the successor of ``a`` (the second argument is ignored),
     1/2/3 are the recursive sum/product/power, finite indices from 4 unfold
-    ``H[i](a, b) = H[i-1](a, H[i](a, b-1))``, and index omega diagonalises
-    over the finite indices.  Raises NotRepresentable past the notation
+    ``H[i](a, b) = H[i-1](a, H[i](a, b-1))`` at finite heights and take
+    closed forms at transfinite ones, and index omega is the supremum over
+    the finite indices.  Raises NotRepresentable past the notation
     boundary, ResourceExceeded past the digit budget, and Unsupported for
-    indices above omega or an omega index with transfinite arguments.
+    indices above omega.
     """
     idx = _as_index(index)
     if idx.is_finite:
@@ -124,106 +113,58 @@ def _finite_index(n: int, a: Ordinal, b: Ordinal, ctx: EvalContext) -> Ordinal:
         return ONE
     if b == ONE:
         return a
-    if a.is_finite and int(a) <= 1:
-        m = int(a)
-        if m == 1:
-            return ONE
-        # 0 composed at height >= 4 alternates 0/1; the union over a limit is 1
-        if b.is_finite:
-            return ONE if int(b) % 2 == 0 else ZERO
+    if a == ONE:
         return ONE
-    if b.is_finite:
-        # Shapes whose unfolding by the index alone would nest n - 3 calls
-        # deep: go straight to where it ends.
-        if a == _TWO and b == _TWO:
-            return rec_pow(a, b, ctx.max_digits)  # H[n](2, 2) = 2^2 = 4
-        if n >= 6:
-            # The unfolding evaluates H[5](a, a) before anything else, or
-            # H[5](2, 4) for a = 2, so whatever that raises is the answer.
-            # A finite H[n](m, k) >= H[6](2, 3) = 2^^65536 is past every
-            # digit budget.
-            hyperop(5, a, _FOUR if a == _TWO else a, ctx)
-            if a.is_finite:
-                raise ResourceExceeded(f"H[{n}]({int(a)}, {int(b)}) is past every digit budget")
-        # values are monotone in b, so on finite arguments the digit guard in
-        # rec_pow fires after a handful of steps on anything that cannot fit
-        v = a
-        for _ in range(int(b) - 1):
-            v = hyperop(n - 1, a, v, ctx)
-        return v
-    if classify(b) is OrdinalClass.SUCCESSOR:
-        return hyperop(n - 1, a, hyperop(n, a, predecessor(b), ctx), ctx)
-    return _sup_over_limit(lambda k, c: hyperop(n, a, fundamental_sequence(b, k), c), ctx)
+    if a.is_zero:
+        # 0 composed at height >= 4 toggles 0/1 at every successor and is 1 at
+        # limits, so only the parity of the finite part of b counts
+        return ZERO if b[-1][0].is_zero and b[-1][1] % 2 else ONE
+    if not a.is_finite and (n >= 5 or not b.is_finite):
+        # a ^^ w is epsilon-zero, and for n >= 5, H[n](a, 2) = H[n-1](a, a) >= a ^^ w
+        raise NotRepresentable(_PAST_BOUNDARY)
+    if not b.is_finite:
+        # m^w = w, so by induction on n: H[n](m, w) = w,
+        # H[n](m, b+1) = H[n-1](m, H[n](m, b)) = H[n-1](m, w) = w, and a
+        # supremum of w's is w
+        return OMEGA
+    # Shapes whose unfolding by the index alone would nest n - 3 calls
+    # deep: go straight to where it ends.
+    if a == _TWO and b == _TWO:
+        return rec_pow(a, b, ctx.max_digits)  # H[n](2, 2) = 2^2 = 4
+    if n >= 6:
+        # The unfolding evaluates H[5](a, a) before anything else, or
+        # H[5](2, 4) for a = 2, so whatever that raises is the answer.
+        # A finite H[n](m, k) >= H[6](2, 3) = 2^^65536 is past every
+        # digit budget.
+        hyperop(5, a, _FOUR if a == _TWO else a, ctx)
+        raise ResourceExceeded(f"H[{n}]({int(a)}, {int(b)}) is past every digit budget")
+    # values are monotone in b, so on finite arguments the digit guard in
+    # rec_pow fires after a handful of steps on anything that cannot fit
+    v = a
+    for _ in range(int(b) - 1):
+        v = hyperop(n - 1, a, v, ctx)
+    return v
 
 
 def _omega_index(a: Ordinal, b: Ordinal, ctx: EvalContext) -> Ordinal:
+    # the supremum over the finite indices; b >= 2 past the base rows
     if b.is_zero:
         return ONE
     if b == ONE:
         return a
-    if not (a.is_finite and b.is_finite):
-        raise Unsupported(
-            "the omega-indexed hyperoperation is evaluated for finite arguments only"
-        )
-    m, k = int(a), int(b)
-    # supremum over all finite indices i of H[i](m, k), k >= 2:
-    # the sequence is eventually constant only for degenerate bases.
-    if m == 0:
-        return Ordinal(k)
-    if m == 1:
-        return Ordinal(k + 1)
-    if m == 2 and k == 2:
-        return Ordinal(4)  # fixed point of every index
+    if not a.is_finite:
+        # index 5 already leaves the notation: H[5](a, 2) = a ^^ a >= a ^^ w
+        raise NotRepresentable(_PAST_BOUNDARY)
+    if int(a) <= 1:
+        # index 1 is the largest: from index 2 on the value is 0, 1 or b
+        return rec_add(a, b)
+    if not b.is_finite:
+        # index 3 is the largest: indices from 4 on give w <= m^b
+        return rec_pow(a, b, ctx.max_digits)
+    if a == _TWO and b == _TWO:
+        return _FOUR  # fixed point of every index
+    # H[i](m, k) grows without bound in i
     return OMEGA
-
-
-def _sup_over_limit(gen, ctx: EvalContext) -> Ordinal:
-    sample_ctx = replace(ctx, max_digits=min(ctx.max_digits, _SUP_SAMPLE_DIGITS))
-    vals = []
-    for k in range(1, _SUP_SAMPLES + 1):
-        try:
-            vals.append(gen(k, sample_ctx))
-        except ResourceExceeded:
-            # the sample is finite but past the budget: a strictly growing
-            # run of finite values along a cofinal sequence tops out at omega
-            if len(vals) >= 2 and all(v.is_finite for v in vals) and _increasing(vals):
-                return OMEGA
-            raise
-    tail = vals[-3:]
-    if tail[0] == tail[1] == tail[2]:
-        return tail[0]
-    if all(v.is_finite for v in vals) and _increasing(vals):
-        return OMEGA
-    return _limit_of_samples(tail)
-
-
-def _increasing(vals) -> bool:
-    return all(x < y for x, y in zip(vals, vals[1:]))
-
-
-def _limit_of_samples(tail, budget: int = 4) -> Ordinal:
-    """Symbolic supremum of a strictly increasing sampled tail of length 3."""
-    if budget == 0:
-        raise Unsupported("no stable shape detected in the supremum sequence")
-    if not _increasing(tail):
-        raise Unsupported("supremum sequence is not monotone")
-    if all(v.is_finite for v in tail):
-        return OMEGA
-    if depth(tail[0]) < depth(tail[1]) < depth(tail[2]):
-        raise NotRepresentable("the supremum exceeds the notation boundary")
-    x, y, z = tail
-    if (
-        len(x) == len(y) == len(z)
-        and x[:-1] == y[:-1] == z[:-1]
-    ):
-        (ex, cx), (ey, cy), (ez, cz) = x[-1], y[-1], z[-1]
-        prefix = _make(x[:-1])
-        if ex == ey == ez and cx < cy < cz:
-            return rec_add(prefix, _make(((successor(ex), 1),)))
-        if ex < ey < ez:
-            e_lim = _limit_of_samples([ex, ey, ez], budget - 1)
-            return rec_add(prefix, _make(((e_lim, 1),)))
-    raise Unsupported("no stable shape detected in the supremum sequence")
 
 
 # closure kinds of indices 1, 2 and 3; every index from 3 on has those of 3

@@ -397,14 +397,7 @@ def base_expand(a: Ordinal, base: Ordinal) -> BaseExpansion:
     return BaseExpansion(base, tuple(digits))
 
 
-def depth(a: Ordinal) -> int:
-    """Nesting depth of the normal form: 0 for finite values."""
-    if a.is_finite:
-        return 0
-    return 1 + max(depth(e) for e, _ in a)
-
-
-# Deepest normal form that output walks: depth(w ^^ k) is k, and the batch
+# Deepest normal form that output walks: w ^^ k nests k levels, and the batch
 # record of w ^^ 250 nests 756 levels, which a default ``json.loads`` reads.
 # The walk takes one Python frame per level and raises ResourceExceeded
 # past the cap instead of nesting further.

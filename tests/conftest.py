@@ -32,6 +32,16 @@ def q(text: str) -> SurRational:
     return as_surrational(evaluate(parse(text)))
 
 
+def nesting_depth(a: Ordinal) -> int:
+    """Nesting depth of the normal form, 0 for finite values.  Below
+    epsilon-zero it is monotone in value, so it is the length of the
+    leading-exponent chain."""
+    d = 0
+    while not a.is_finite:
+        a, d = a[0][0], d + 1
+    return d
+
+
 @pytest.fixture(autouse=True)
 def default_recursion_limit():
     # bench/test_bench.py raises the limit when it is imported, and pytest

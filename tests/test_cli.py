@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +232,36 @@ class TestBatch:
             "col": 1,
         }
 
+
+    def test_transfinite_heights_end_in_closed_form(self, tmp_path):
+        # the first row ran past 60 s, and the H[w] rows were Unsupported,
+        # while suprema were sampled along fundamental sequences
+        rows = {
+            "2^^(w^2)": "w",
+            "2^^(w^w)": "w",
+            "H[4](2, w^2)": "w",
+            "H[6](3, w*2 + 1)": "w",
+            "H[w](w, 2)": "NotRepresentable",
+            "H[w](w+1, w)": "NotRepresentable",
+            "H[w](2, w)": "w",
+            "H[w](1, w)": "w",
+            "H[w](2, w + 1)": "w*2",
+            "H[w](0, w*2)": "w*2",
+            "H[w](3, w^2 + 1)": "w^w*3",
+            "H[w](2, w + 1000000)": "ResourceExceeded",
+        }
+        path = tmp_path / "lines.txt"
+        path.write_text("".join(line + "\n" for line in rows))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-m", "transfinita.cli", "batch", str(path)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert done.stderr == ""
+        recs = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [r.get("canonical") or r["error"]["kind"] for r in recs] == list(rows.values())
 
     def test_root_cut_powers_are_budgeted(self, tmp_path, capsys):
         # the first line used to run on with no budget

@@ -1,7 +1,9 @@
 """The hyperoperation tower, tetration, and tower-closure points."""
 
 import random
+from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -14,6 +16,7 @@ from transfinita import (
     NotRepresentable,
     Ordinal,
     ResourceExceeded,
+    TransfinitaError,
     Undefined,
     Unsupported,
     compare,
@@ -27,9 +30,9 @@ from transfinita import (
     successor,
     tetration,
 )
-from transfinita.hyper import _sup_over_limit
-from transfinita.ordinal import OrdinalClass, _check_pow_digits, classify, predecessor
+from transfinita.ordinal import OrdinalClass, _check_pow_digits, _make, classify, predecessor
 
+from conftest import nesting_depth as depth
 from conftest import o, ordinals
 from random_values import random_ordinal_below
 
@@ -104,6 +107,18 @@ class TestFiniteIndexTowers:
         with pytest.raises(ResourceExceeded):
             tetration(Ordinal(3), Ordinal(4))
 
+    @given(ordinals().map(successor))
+    def test_successor_heights_follow_the_recursion(self, b):
+        ctx = EvalContext(max_digits=1000)
+        for a in (ZERO, ONE, Ordinal(2), OMEGA):
+            for n in range(4, 8):
+                try:
+                    lhs = hyperop(n, a, b, ctx)
+                    rhs = hyperop(n - 1, a, hyperop(n, a, predecessor(b), ctx), ctx)
+                except TransfinitaError:
+                    continue
+                assert lhs == rhs, (n, a, b)
+
 
 # H[i](m, x) unfolded on plain ints for i >= 3: the reference for the one
 # Ordinal recursion that hyperop runs on finite and transfinite arguments.
@@ -144,10 +159,68 @@ class TestIntegerReference:
                     assert got == want, (n, m, k, max_digits)
 
 
-# H[n](a, b) for n >= 6 by the index recursion alone, with no shortcut: the
-# reference for hyperop's n >= 6 shortcut.  Indices below 6 are hyperop's.
+# H[n](a, b) by the index recursion alone, with each supremum read off 8
+# samples of the fundamental sequence: the reference that hyperop's closed
+# forms must match wherever it gives a value or NotRepresentable.  Indices
+# below 4 are hyperop's.
+
+# intermediate samples inside a supremum never need more room than this
+_SUP_SAMPLE_DIGITS = 10**6
+# cofinal samples taken to read off a supremum
+_SUP_SAMPLES = 8
+
+
+def _sup_over_limit(gen, ctx: EvalContext) -> Ordinal:
+    sample_ctx = replace(ctx, max_digits=min(ctx.max_digits, _SUP_SAMPLE_DIGITS))
+    vals = []
+    for k in range(1, _SUP_SAMPLES + 1):
+        try:
+            vals.append(gen(k, sample_ctx))
+        except ResourceExceeded:
+            # the sample is finite but past the budget: a strictly growing
+            # run of finite values along a cofinal sequence tops out at omega
+            if len(vals) >= 2 and all(v.is_finite for v in vals) and _increasing(vals):
+                return OMEGA
+            raise
+    tail = vals[-3:]
+    if tail[0] == tail[1] == tail[2]:
+        return tail[0]
+    if all(v.is_finite for v in vals) and _increasing(vals):
+        return OMEGA
+    return _limit_of_samples(tail)
+
+
+def _increasing(vals) -> bool:
+    return all(x < y for x, y in zip(vals, vals[1:]))
+
+
+def _limit_of_samples(tail, budget: int = 4) -> Ordinal:
+    """Symbolic supremum of a strictly increasing sampled tail of length 3."""
+    if budget == 0:
+        raise Unsupported("no stable shape detected in the supremum sequence")
+    if not _increasing(tail):
+        raise Unsupported("supremum sequence is not monotone")
+    if all(v.is_finite for v in tail):
+        return OMEGA
+    if depth(tail[0]) < depth(tail[1]) < depth(tail[2]):
+        raise NotRepresentable("the supremum exceeds the notation boundary")
+    x, y, z = tail
+    if (
+        len(x) == len(y) == len(z)
+        and x[:-1] == y[:-1] == z[:-1]
+    ):
+        (ex, cx), (ey, cy), (ez, cz) = x[-1], y[-1], z[-1]
+        prefix = _make(x[:-1])
+        if ex == ey == ez and cx < cy < cz:
+            return rec_add(prefix, _make(((successor(ex), 1),)))
+        if ex < ey < ez:
+            e_lim = _limit_of_samples([ex, ey, ez], budget - 1)
+            return rec_add(prefix, _make(((e_lim, 1),)))
+    raise Unsupported("no stable shape detected in the supremum sequence")
+
+
 def _unfold(n, a, b, ctx):
-    if n < 6:
+    if n < 4:
         return hyperop(n, a, b, ctx)
     if b.is_zero:
         return ONE
@@ -160,21 +233,41 @@ def _unfold(n, a, b, ctx):
         return v
     if classify(b) is OrdinalClass.SUCCESSOR:
         return _unfold(n - 1, a, _unfold(n, a, predecessor(b), ctx), ctx)
+    if a.is_finite and int(a) <= 1:
+        # the samples are all 1, or alternate 1, 0 (which the sampler refuses)
+        return ONE
     return _sup_over_limit(lambda k, c: _unfold(n, a, fundamental_sequence(b, k), c), ctx)
 
 
 class TestLargeIndices:
-    BASES = ("2", "3", "w", "w + 1", "w*2", "w^2", "w^w", "w^2*3 + w + 5", "w^(w^2)")
-    SECONDS = ("2", "3", "5", "w", "w + 1", "w*2")
-
-    def test_shortcut_matches_the_unfolding(self):
+    def check_against_the_unfolding(self, ns, bases, heights):
         ctx = EvalContext(max_digits=1000)
-        for n in range(6, 13):
-            for a in map(o, self.BASES):
-                for b in map(o, self.SECONDS):
+        for n in ns:
+            for a in map(o, bases):
+                for b in map(o, heights):
                     got = _outcome(lambda: hyperop(n, a, b, ctx))
                     want = _outcome(lambda: _unfold(n, a, b, ctx))
+                    if want[0] is ResourceExceeded and not b.is_finite:
+                        # a sample past the budget hid the supremum, which is w
+                        want = ("value", OMEGA)
                     assert got == want, (n, a, b)
+
+    def test_shortcut_matches_the_unfolding(self):
+        self.check_against_the_unfolding(
+            range(6, 13),
+            ("2", "3", "w", "w + 1", "w*2", "w^2", "w^w", "w^2*3 + w + 5", "w^(w^2)"),
+            ("2", "3", "5", "w", "w + 1", "w*2"),
+        )
+
+    def test_closed_forms_match_the_sampled_suprema(self):
+        # w^2 only for the bases whose unfolding ends: for finite bases from
+        # 2 on it nests 8 samples 8 deep
+        bases = ("0", "1", "2", "3", "5", "w", "w + 1", "w*2", "w^2", "w^w")
+        heights = ("w", "w + 1", "w + 5", "w*2", "w*2 + 3")
+        self.check_against_the_unfolding(range(4, 9), bases, heights)
+        self.check_against_the_unfolding(
+            range(4, 9), ("0", "1", "w", "w + 1", "w*2", "w^2", "w^w"), ("w^2",)
+        )
 
     def test_transfinite_base_at_a_large_index(self):
         # raised RecursionError while the index was unfolded one call per level
@@ -219,11 +312,20 @@ class TestOmegaIndex:
         assert hyperop(OMEGA, OMEGA, ZERO) == ONE
         assert hyperop(OMEGA, OMEGA, ONE) == OMEGA
 
-    def test_transfinite_arguments_rejected(self):
-        with pytest.raises(Unsupported):
+    def test_transfinite_arguments(self):
+        # index 5 already leaves the notation for a transfinite base
+        with pytest.raises(NotRepresentable):
             hyperop(OMEGA, OMEGA, Ordinal(2))
-        with pytest.raises(Unsupported):
-            hyperop(OMEGA, Ordinal(2), OMEGA)
+        assert hyperop(OMEGA, Ordinal(2), OMEGA) == OMEGA
+        assert hyperop(OMEGA, Ordinal(2), o("w + 1")) == o("w*2")
+
+    @given(st.integers(2, 9), ordinals().filter(lambda b: not b.is_finite))
+    def test_index_three_is_the_largest_below_a_transfinite_height(self, m, b):
+        m = Ordinal(m)
+        top = hyperop(OMEGA, m, b)
+        assert top == hyperop(3, m, b)
+        for i in range(9):
+            assert top >= hyperop(i, m, b), i
 
     def test_indices_above_omega_rejected(self):
         with pytest.raises(Unsupported):

@@ -30,7 +30,10 @@ def _imported_names(tree: ast.AST, package_only: bool) -> set:
 
 
 def _used_names(tree: ast.AST, skip) -> set:
-    """Names read, as bare names, attributes or imports, outside ``skip``."""
+    """Names read, as bare names or ``from ... import`` names, outside
+    ``skip``.  No module in the package reaches another through an
+    attribute, so an attribute of the same name (``self.depth``) is not a
+    use."""
     names = set()
     stack = [tree]
     while stack:
@@ -39,8 +42,6 @@ def _used_names(tree: ast.AST, skip) -> set:
             continue
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
         stack.extend(ast.iter_child_nodes(node))

@@ -23,14 +23,14 @@ from transfinita import cli
 from transfinita.expr import DEFAULT_AMBIENT, CutHandle, EvalError
 from transfinita.errors import Undefined
 from transfinita.hyper import EvalContext
-from transfinita.ordinal import MAX_PRINT_DEPTH, OMEGA, ONE, depth
+from transfinita.ordinal import MAX_PRINT_DEPTH, OMEGA, ONE
 from transfinita.ordinal import _make as _make_ordinal
 from transfinita.oracle import SmallOrdinal
 from transfinita.printer import encode, print_canonical, value_tree
 from transfinita.surinteger import S_ONE
 from transfinita.surinteger import _make as _make_si
 
-from conftest import ordinals, surintegers, surrationals
+from conftest import nesting_depth, ordinals, surintegers, surrationals
 
 
 # ---------------------------------------------------------------- reference
@@ -239,7 +239,7 @@ class TestDepthCap:
     def test_the_cap_is_the_tallest_printable_tower(self):
         for k in (249, MAX_PRINT_DEPTH):
             v = _tower(k)
-            assert depth(v) == k
+            assert nesting_depth(v) == k
             js, text = encode(v)
             assert text.count("w") == k
             assert json.loads(js)["type"] == "ordinal"
