@@ -24,6 +24,7 @@ from .oracle import DEFAULT_BOUND, SmallOrdinal, def_rec_add, def_rec_mul
 from .ordinal import ONE, ZERO, Ordinal
 from .parser import ParseError, parse
 from .printer import JSON_SCHEMA, VALUE_TYPES, encode, print_canonical
+from .surinteger import check_lambda
 
 CLI_MAX_DIGITS = 100_000  # interactive default, a tenth of the library's
 
@@ -128,8 +129,6 @@ def _record_text(line: str, env, ctx, ambient, use_oracle) -> str:
             "line": line_no,
             "col": col,
         }
-    except TransfinitaError as err:
-        error = {"kind": type(err).__name__, "message": str(err)}
     except Exception as err:  # a defect, not a user error: report it, keep going
         error = {"kind": "internal", "message": _defect_message(err)}
     return f'{head}"error": {json.dumps(error)}}}'
@@ -227,9 +226,9 @@ def _cmd_repl(args, ctx) -> int:
                 print(f"oracle cross-check {'on' if use_oracle else 'off'}")
                 continue
             if line.startswith(":lambda"):
-                ambient = as_ordinal(
-                    evaluate(parse(line[len(":lambda") :]), env, ctx, ambient)
-                )
+                lam = as_ordinal(evaluate(parse(line[len(":lambda") :]), env, ctx, ambient))
+                check_lambda(lam)  # an invalid one leaves the ambient as it was
+                ambient = lam
                 print(f"ambient lambda = {print_canonical(ambient)}")
                 continue
             if line.startswith(":type"):

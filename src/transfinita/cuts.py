@@ -79,10 +79,15 @@ class RootCut:
 
     def __post_init__(self):
         check_lambda(self.lam)
-        if self.n < 2:
-            raise Undefined("root cuts need n >= 2")
-        if q_compare(self.q, Q_ZERO) != GT:
-            raise Undefined("root cuts need a strictly positive radicand")
+        check_root(self.q, self.n)
+
+
+def check_root(q: SurRational, n: int) -> None:
+    """A root cut needs a degree n >= 2 and a radicand q > 0."""
+    if n < 2:
+        raise Undefined("root cuts need n >= 2")
+    if q_compare(q, Q_ZERO) != GT:
+        raise Undefined("root cuts need a strictly positive radicand")
 
 
 def cut_member(cut, p: SurRational, max_digits: int = DEFAULT_MAX_DIGITS) -> bool:

@@ -35,6 +35,7 @@ from .cuts import (
     RationalCut,
     RootClassification,
     RootCut,
+    check_root,
     classify_root_cut,
     cut_member,
     cx_add,
@@ -277,8 +278,9 @@ def _call(name: str, args: list, ambient: Ordinal, ctx: EvalContext) -> Value:
     if name == "sqrt":
         if len(args) != 2:
             raise Undefined("sqrt takes a bracketed degree and a radicand")
-        n = int(as_ordinal(args[0]))
-        return CutHandle(as_surrational(args[1]), n)
+        n, q = int(as_ordinal(args[0])), as_surrational(args[1])
+        check_root(q, n)
+        return CutHandle(q, n)
     if name == "member":
         if len(args) not in (2, 3):
             raise Undefined("member takes a cut, an element and an optional lambda")

@@ -28,7 +28,10 @@ from .ordinal import (
     ZERO,
     Ordinal,
     OrdinalClass,
+    _check_depth,
+    _depth,
     _make,
+    _pow,
     classify,
     predecessor,
     rec_add,
@@ -138,11 +141,16 @@ def _finite_index(n: int, a: Ordinal, b: Ordinal, ctx: EvalContext) -> Ordinal:
         # digit budget.
         hyperop(5, a, _FOUR if a == _TWO else a, ctx)
         raise ResourceExceeded(f"H[{n}]({int(a)}, {int(b)}) is past every digit budget")
+    if not a.is_finite:
+        # n = 4 here, and a ^^ k nests exactly depth(a) + k - 1 levels: one
+        # check up front spares each step rec_pow's walk of the result,
+        # which would make the tower quadratic
+        _check_depth(_depth(a) + int(b) - 1)
     # values are monotone in b, so on finite arguments the digit guard in
-    # rec_pow fires after a handful of steps on anything that cannot fit
+    # the power step fires after a handful of steps on anything that cannot fit
     v = a
     for _ in range(int(b) - 1):
-        v = hyperop(n - 1, a, v, ctx)
+        v = _pow(a, v, ctx.max_digits) if n == 4 else hyperop(n - 1, a, v, ctx)
     return v
 
 

@@ -112,6 +112,28 @@ def _finite(k: int) -> Ordinal:
     return o
 
 
+# Deepest normal form any operation builds: w ^^ k nests k levels, and the
+# batch record of w ^^ 250 nests 756 levels, which a default ``json.loads``
+# reads.  Only powers nest deeper than their operands, so ``rec_pow`` and
+# the tower loop in ``hyper`` are the two places that check it, and the
+# output walk, one Python frame per level, never meets a deeper value.
+MAX_DEPTH = 250
+
+
+def _depth(a: Ordinal) -> int:
+    """Nesting depth of the normal form, 0 for finite values: the length of
+    the leading-exponent chain, since depth is monotone in value."""
+    d = 0
+    while a and a[0][0]:
+        a, d = a[0][0], d + 1
+    return d
+
+
+def _check_depth(depth: int) -> None:
+    if depth > MAX_DEPTH:
+        raise ResourceExceeded(f"value nested too deeply (more than {MAX_DEPTH} levels)")
+
+
 def validate(o: Ordinal) -> None:
     """Check all normal-form invariants, recursively.  Raises ValueError."""
     if not isinstance(o, Ordinal):
@@ -270,8 +292,16 @@ def rec_pow(a: Ordinal, b: Ordinal, max_digits: int = DEFAULT_MAX_DIGITS) -> Ord
     """Recursive exponentiation ``a^b`` via the normal-form case split.
 
     Finite powers of finite bases are guarded by ``max_digits`` (decimal
-    digit budget); exceeding it raises :class:`ResourceExceeded`.
+    digit budget), and results by ``MAX_DEPTH``: a power past either
+    raises :class:`ResourceExceeded`.
     """
+    p = _pow(a, b, max_digits)
+    _check_depth(_depth(p))
+    return p
+
+
+def _pow(a: Ordinal, b: Ordinal, max_digits: int) -> Ordinal:
+    # rec_pow without the depth check, for a caller that has bounded the depth
     if not b:
         return ONE
     if not a:
@@ -397,36 +427,19 @@ def base_expand(a: Ordinal, base: Ordinal) -> BaseExpansion:
     return BaseExpansion(base, tuple(digits))
 
 
-# Deepest normal form that output walks: w ^^ k nests k levels, and the batch
-# record of w ^^ 250 nests 756 levels, which a default ``json.loads`` reads.
-# The walk takes one Python frame per level and raises ResourceExceeded
-# past the cap instead of nesting further.
-MAX_PRINT_DEPTH = 250
-
-
-def _too_deep() -> ResourceExceeded:
-    return ResourceExceeded(
-        f"value nested too deeply to print (more than {MAX_PRINT_DEPTH} levels)"
-    )
-
-
-def _encode_terms(terms, memo: dict, level: int) -> tuple:
-    """One walk of a term sequence at nesting ``level``: its JSON array text,
-    its canonical text and its depth.
+def _encode_terms(terms, memo: dict) -> tuple:
+    """One walk of a term sequence: its JSON array text and its canonical text.
 
     ``terms`` are an ordinal's, or a surinteger's with signed coefficients.
     ``memo`` maps each exponent object already met in the value to its
-    ``{"terms": [...]}`` JSON, its ``w^...`` body text and its depth plus
-    one, so each shared subterm is rendered once.  It is keyed by ``id``:
-    the value keeps its exponents alive through the walk, equal exponents
-    are nearly always one shared object, and hashing a nested tuple would
-    walk all of it at every level.
+    ``{"terms": [...]}`` JSON and its ``w^...`` body text, so each shared
+    subterm is rendered once.  It is keyed by ``id``: the value keeps its
+    exponents alive through the walk, equal exponents are nearly always one
+    shared object, and hashing a nested tuple would walk all of it at every
+    level.
     """
-    if level > MAX_PRINT_DEPTH:
-        raise _too_deep()
     js = []
     parts = []
-    height = 0
     for e, c in terms:
         cs = str(c)
         if c < 0:
@@ -441,26 +454,22 @@ def _encode_terms(terms, memo: dict, level: int) -> tuple:
             continue
         m = memo.get(id(e))
         if m is None:
-            ej, et, eh = _encode_terms(e, memo, level + 1)
+            ej, et = _encode_terms(e, memo)
             if not e[0][0]:
                 body = "w" if et == "1" else "w^" + et
             elif et == "w":
                 body = "w^w"
             else:
                 body = f"w^({et})"
-            m = memo[id(e)] = (f'{{"terms": {ej}}}', body, eh + 1)
-        elif level + m[2] > MAX_PRINT_DEPTH:
-            raise _too_deep()
+            m = memo[id(e)] = (f'{{"terms": {ej}}}', body)
         js.append(f'{{"exp": {m[0]}, "coeff": "{cs}"}}')
         parts.append(m[1] if ct == "1" else f"{m[1]}*{ct}")
-        if m[2] > height:
-            height = m[2]
     if not parts:
-        return "[]", "0", 0
+        return "[]", "0"
     parts[0] = "-" if parts[0] == " - " else ""
-    return f"[{', '.join(js)}]", "".join(parts), height
+    return f"[{', '.join(js)}]", "".join(parts)
 
 
 def ordinal_str(a: Ordinal) -> str:
     """Canonical text form, e.g. ``w^(w^2)*3 + w*2 + 7``."""
-    return _encode_terms(a, {}, 0)[1]
+    return _encode_terms(a, {})[1]

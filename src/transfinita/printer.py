@@ -24,7 +24,7 @@ JSON_SCHEMA = "1"
 
 
 def _encode_ordinal(terms, memo) -> tuple:
-    js, text, _ = _encode_terms(terms, memo, 0)
+    js, text = _encode_terms(terms, memo)
     return f'"terms": {js}', text
 
 
@@ -69,11 +69,7 @@ VALUE_TYPES = {
 
 
 def encode(v) -> tuple:
-    """``(JSON text, canonical text)`` of any printable value, from one walk.
-
-    Raises ResourceExceeded for a normal form nested deeper than
-    ``ordinal.MAX_PRINT_DEPTH``.
-    """
+    """``(JSON text, canonical text)`` of any printable value, from one walk."""
     entry = VALUE_TYPES.get(type(v))
     if entry is None:
         raise Undefined(f"no canonical form for {v!r}")

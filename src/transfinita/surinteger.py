@@ -231,7 +231,7 @@ def content(a: SurInteger) -> int:
 
 def surinteger_str(a: SurInteger) -> str:
     """Canonical signed text form, e.g. ``w^2*2 - w*3 + 1``."""
-    return _encode_terms(a.terms, {}, 0)[1]
+    return _encode_terms(a.terms, {})[1]
 
 
 def to_ordinal(a: SurInteger):

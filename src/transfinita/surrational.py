@@ -266,8 +266,8 @@ def _encode(p: SurRational, memo: dict) -> tuple:
     """The JSON members ``"num": ..., "den": ..., "reduced": ...`` and the
     canonical text ``num / den`` of ``p``, from one walk sharing ``memo``;
     the denominator is omitted from the text when 1."""
-    num_j, num_s, _ = _encode_terms(p.num.terms, memo, 0)
-    den_j, den_s, _ = _encode_terms(p.den.terms, memo, 0)
+    num_j, num_s = _encode_terms(p.num.terms, memo)
+    den_j, den_s = _encode_terms(p.den.terms, memo)
     fields = (
         f'"num": {{"terms": {num_j}}}, "den": {{"terms": {den_j}}}, '
         f'"reduced": {"true" if p.reduced else "false"}'

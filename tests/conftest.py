@@ -32,22 +32,13 @@ def q(text: str) -> SurRational:
     return as_surrational(evaluate(parse(text)))
 
 
-def nesting_depth(a: Ordinal) -> int:
-    """Nesting depth of the normal form, 0 for finite values.  Below
-    epsilon-zero it is monotone in value, so it is the length of the
-    leading-exponent chain."""
-    d = 0
-    while not a.is_finite:
-        a, d = a[0][0], d + 1
-    return d
-
-
 @pytest.fixture(autouse=True)
 def default_recursion_limit():
     # bench/test_bench.py raises the limit when it is imported, and pytest
     # collects both directories first; the tests here are written for the
-    # interpreter's default (the parser's nesting cap and the printer's
-    # depth cap must hold under it, for two)
+    # interpreter's default (the parser's nesting cap must hold under it,
+    # and so must the depth bound: a value of ordinal.MAX_DEPTH levels must
+    # compare, print and decode from its record)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     yield

@@ -18,6 +18,7 @@ from transfinita.cuts import (
     GaussianSurRational,
     RationalCut,
     RootCut,
+    check_root,
     classify_root_cut,
     cut_member,
     cx_add,
@@ -311,8 +312,9 @@ def _funcapp(e, env, ctx, ambient):
         if e.name == "sqrt":
             if len(args) != 2:
                 raise Undefined("sqrt takes a bracketed degree and a radicand")
-            n = int(as_ordinal(args[0]))
-            return CutHandle(as_surrational(args[1]), n)
+            n, q = int(as_ordinal(args[0])), as_surrational(args[1])
+            check_root(q, n)
+            return CutHandle(q, n)
         if e.name == "member":
             if len(args) not in (2, 3):
                 raise Undefined("member takes a cut, an element and an optional lambda")

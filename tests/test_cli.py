@@ -19,7 +19,7 @@ from transfinita import (
 )
 from transfinita.cli import main
 from transfinita.oracle import SmallOrdinal
-from transfinita.ordinal import MAX_PRINT_DEPTH
+from transfinita.ordinal import MAX_DEPTH
 from transfinita.parser import MAX_NESTING
 from transfinita.errors import Undefined
 from transfinita.expr import CutHandle, EvalError, evaluate
@@ -36,6 +36,14 @@ def _failing_on(bad, fn):
         return fn(v)
 
     return failing
+
+
+def _tree_depth(tree: dict) -> int:
+    # the leading-exponent chain of an ordinal's JSON tree
+    d = 0
+    while tree["terms"] and tree["terms"][0]["exp"]["terms"]:
+        tree, d = tree["terms"][0]["exp"], d + 1
+    return d
 
 
 def run(capsys, *argv):
@@ -291,21 +299,54 @@ class TestBatch:
         }
 
     def test_values_too_deep_to_print(self, tmp_path, capsys):
-        # internal RecursionError records before the walk had a depth cap
-        recs = self.batch(
-            tmp_path, capsys, "w ^^ 249", "w ^^ 250", "w ^^ 251", "w ^^ 2000", "H[4](w, 5000)",
-        )
-        assert [r["canonical"].count("w") for r in recs[:2]] == [249, 250]
+        # refused where they are built, with the operation and its span; the
+        # first two were internal RecursionError records (tuple comparison
+        # recursed inside C) and the next two had neither operation nor span
         too_deep = {
-            "kind": "ResourceExceeded",
-            "message": f"value nested too deeply to print (more than {MAX_PRINT_DEPTH} levels)",
+            "w ^^ 500 +. w ^^ 500": ("^^", 3),
+            "w^^3000 + w^^3001": ("^^", 2),
+            f"w ^^ {MAX_DEPTH + 1}": ("^^", 3),
+            "H[4](w, 5000) * w": ("H", 1),
+            f"2^(w^^{MAX_DEPTH})": ("^", 2),
+            f"(w^w)^^{MAX_DEPTH}": ("^^", 6),
         }
-        assert [r["error"] for r in recs[2:]] == [too_deep] * 3
+        fit = {
+            "w ^^ 249": 249,
+            f"w ^^ {MAX_DEPTH}": MAX_DEPTH,
+            f"(w+1)^^{MAX_DEPTH}": MAX_DEPTH,
+            f"(w^w)^^{MAX_DEPTH - 1}": MAX_DEPTH,
+            f"2^(w^^{MAX_DEPTH - 1})": MAX_DEPTH,
+        }
+        recs = self.batch(tmp_path, capsys, *too_deep, *fit)
+        message = f"value nested too deeply (more than {MAX_DEPTH} levels)"
+        assert [r["error"] for r in recs[: len(too_deep)]] == [
+            {"kind": "ResourceExceeded", "operation": op, "message": message, "line": 1, "col": col}
+            for op, col in too_deep.values()
+        ]
+        assert [_tree_depth(r["value"]) for r in recs[len(too_deep) :]] == list(fit.values())
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_eval_of_a_value_too_deep_to_print(self, capsys, flags):
         code, out, err = run(capsys, *flags, "eval", "w ^^ 2000")
-        assert code == 1 and "ResourceExceeded" in out + err and "Traceback" not in err
+        assert code == 1 and "Traceback" not in err
+        if flags:
+            assert json.loads(out)["error"]["operation"] == "^^"
+        else:
+            # eval reports the record's kind and message, as the REPL does
+            assert err == f"error: ResourceExceeded: value nested too deeply (more than {MAX_DEPTH} levels)\n"
+
+    def test_impossible_root_cuts_are_undefined(self, tmp_path, capsys):
+        # each printed as a cut; only member() and classify() refused it
+        recs = self.batch(
+            tmp_path, capsys, "sqrt[0](2)", "sqrt[1](2)", "sqrt[2](-1)", "classify(sqrt[1](2))",
+            "sqrt[2](2)",
+        )
+        degree, radicand = "root cuts need n >= 2", "root cuts need a strictly positive radicand"
+        assert [r["error"] for r in recs[:4]] == [
+            {"kind": "Undefined", "operation": "sqrt", "message": msg, "line": 1, "col": col}
+            for msg, col in ((degree, 1), (degree, 1), (radicand, 1), (degree, 10))
+        ]
+        assert recs[4]["canonical"] == "sqrt[2](2)"
 
 
 VALUE_KINDS = [
@@ -389,6 +430,16 @@ class TestRepl:
         assert code == 0
         assert "error: internal: RuntimeError" in err
         assert out.splitlines()[-1] == "2"
+
+    def test_invalid_lambda_keeps_the_ambient(self, monkeypatch, capsys):
+        # ":lambda 5" was accepted, and every member() after it failed
+        code, out, err = self._run_repl(
+            monkeypatch, capsys,
+            [":lambda w^w", ":lambda 5", ":lambda w + 1", "member(sqrt[2](w), 10/3)", ":quit"],
+        )
+        assert code == 0
+        assert out.count("ambient lambda = ") == 1 and out.splitlines()[-1] == "true"
+        assert err.count("error: ") == 2 and "multiplication-closed" in err
 
     def test_eof_ends_session(self, monkeypatch, capsys):
         def raise_eof(prompt=""):

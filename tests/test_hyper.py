@@ -31,8 +31,8 @@ from transfinita import (
     tetration,
 )
 from transfinita.ordinal import OrdinalClass, _check_pow_digits, _make, classify, predecessor
+from transfinita.ordinal import _depth as depth
 
-from conftest import nesting_depth as depth
 from conftest import o, ordinals
 from random_values import random_ordinal_below
 

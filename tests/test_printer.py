@@ -1,5 +1,5 @@
-"""The printer's one walk against the recursive printers it replaced, its
-depth cap, and the batch record text against ``cli._record``."""
+"""The printer's one walk against the recursive printers it replaced, at
+the depth bound too, and the batch record text against ``cli._record``."""
 
 import json
 import sys
@@ -23,14 +23,14 @@ from transfinita import cli
 from transfinita.expr import DEFAULT_AMBIENT, CutHandle, EvalError
 from transfinita.errors import Undefined
 from transfinita.hyper import EvalContext
-from transfinita.ordinal import MAX_PRINT_DEPTH, OMEGA, ONE
+from transfinita.ordinal import MAX_DEPTH, OMEGA, ONE, _depth
 from transfinita.ordinal import _make as _make_ordinal
 from transfinita.oracle import SmallOrdinal
 from transfinita.printer import encode, print_canonical, value_tree
 from transfinita.surinteger import S_ONE
 from transfinita.surinteger import _make as _make_si
 
-from conftest import nesting_depth, ordinals, surintegers, surrationals
+from conftest import ordinals, surintegers, surrationals
 
 
 # ---------------------------------------------------------------- reference
@@ -237,44 +237,33 @@ def _tower(k: int) -> Ordinal:
 
 class TestDepthCap:
     def test_the_cap_is_the_tallest_printable_tower(self):
-        for k in (249, MAX_PRINT_DEPTH):
+        for k in (249, MAX_DEPTH):
             v = _tower(k)
-            assert nesting_depth(v) == k
+            assert _depth(v) == k
             js, text = encode(v)
             assert text.count("w") == k
             assert json.loads(js)["type"] == "ordinal"
-        with pytest.raises(ResourceExceeded, match=f"more than {MAX_PRINT_DEPTH} levels"):
-            encode(_tower(MAX_PRINT_DEPTH + 1))
+        with pytest.raises(EvalError, match=f"more than {MAX_DEPTH} levels"):
+            _tower(MAX_DEPTH + 1)
 
-    @pytest.mark.parametrize("k", [MAX_PRINT_DEPTH + 1, 490, 2000])
+    @pytest.mark.parametrize("k", [MAX_DEPTH + 1, 490, 2000])
     def test_taller_is_a_typed_error(self, k):
-        v = _tower(k)
-        for entry in (encode, print_canonical, value_tree, repr):
-            with pytest.raises(ResourceExceeded):
-                entry(v)
+        # refused where the tower is built, not where it would be printed
+        with pytest.raises(EvalError) as info:
+            _tower(k)
+        err = info.value
+        assert type(err.origin) is ResourceExceeded
+        assert (err.operation, err.span) == ("^^", (1, 3))
 
     def test_two_frames_per_level_at_most(self):
         # the walk must fit in 2 frames a level above the caller's stack
-        v = _tower(MAX_PRINT_DEPTH)
+        v = _tower(MAX_DEPTH)
         old = sys.getrecursionlimit()
-        sys.setrecursionlimit(len(_frames()) + 2 * MAX_PRINT_DEPTH + 20)
+        sys.setrecursionlimit(len(_frames()) + 2 * MAX_DEPTH + 20)
         try:
             encode(v)
         finally:
             sys.setrecursionlimit(old)
-
-    def test_a_memoised_exponent_met_again_deeper_counts_its_depth(self):
-        # the numerator's w^^200 is met again 60 levels down the
-        # denominator: 261 levels in all, though each walk alone is shallow
-        x = _tower(200)
-        deep = x
-        for _ in range(60):
-            deep = _make_ordinal(((deep, 1),))
-        assert encode(SurRational(_monomial(x, 1), _monomial(Ordinal(5), 1)))
-        with pytest.raises(ResourceExceeded):
-            encode(SurRational(_monomial(x, 1), _monomial(deep, 1)))
-        with pytest.raises(ResourceExceeded):
-            encode(GaussianSurRational(SurRational(_monomial(x, 1)), SurRational(_monomial(deep, 1))))
 
 
 def _frames() -> list:
@@ -312,7 +301,7 @@ RECORD_KINDS = [
     ("value", ["w^(w^2 + 1)*3 + w + 1", "(w - 1) / (w^2 + 1)", "w² + 1", "classify(sqrt[2](4))"]),
     ("parse error", ["1 +", "not % valid"]),
     ("eval error with a span", ["1 + (w -. 2)", "H[1000](2, 3)"]),
-    ("typed error", [f"w ^^ {MAX_PRINT_DEPTH + 1}", "w ^^ 2000"]),
+    ("typed error", [f"w ^^ {MAX_DEPTH + 1}", "w ^^ 2000", "2^(w^^250)"]),
 ]
 
 
@@ -336,12 +325,16 @@ class TestRecordText:
         assert rec["error"]["kind"] == kind and out == json.dumps(rec)
 
     def test_typed_error_record(self):
+        # a tower past the depth bound was a record without operation or span
         assert _record("w ^^ 2000") == {
             "schema": "1",
             "input": "w ^^ 2000",
             "error": {
                 "kind": "ResourceExceeded",
-                "message": f"value nested too deeply to print (more than {MAX_PRINT_DEPTH} levels)",
+                "operation": "^^",
+                "message": f"value nested too deeply (more than {MAX_DEPTH} levels)",
+                "line": 1,
+                "col": 3,
             },
         }
 
