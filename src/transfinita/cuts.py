@@ -28,7 +28,7 @@ from math import gcd, isqrt
 from typing import Optional
 
 from .errors import DivisionByZero, OutOfField, Undefined
-from .ordinal import DEFAULT_MAX_DIGITS, GT, LT, Ordinal, _check_pow_digits
+from .ordinal import DEFAULT_MAX_DIGITS, LT, Ordinal, _check_pow_digits
 from .ordinal import _make as _make_ordinal
 from .surinteger import (
     SurInteger,
@@ -43,7 +43,6 @@ from .surrational import (
     SurRational,
     in_lambda_field,
     q_add,
-    q_compare,
     q_div,
     q_eq,
     q_from_int,
@@ -86,7 +85,8 @@ def check_root(q: SurRational, n: int) -> None:
     """A root cut needs a degree n >= 2 and a radicand q > 0."""
     if n < 2:
         raise Undefined("root cuts need n >= 2")
-    if q_compare(q, Q_ZERO) != GT:
+    # denominators are positive, so q > 0 when its numerator leads positive
+    if q.is_zero or q.num.terms[0][1] < 0:
         raise Undefined("root cuts need a strictly positive radicand")
 
 

@@ -11,7 +11,9 @@ subtraction: the unique g with ``a +. g == b``.
 ``(tag, span, arg)`` instructions, operands before their operation.
 
     tag      arg               stack effect
-    "const"  the value         push it (number literals and ``w``)
+    "const"  the value         push it (literals, ``w``, and the natural
+                               sums, products and powers of ``w`` of
+                               constants, which the parser folds)
     "op"     operator text     pop two, push the result
     "neg"    None              negate the top
     "H"      None              pop index, a, b; push ``H[index](a, b)``

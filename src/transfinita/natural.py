@@ -46,9 +46,11 @@ from .ordinal import (
 )
 
 
-def _merge_terms(ta, tb) -> list:
+def _merge_terms(ta, tb) -> tuple:
     """Merge-add of two term lists sorted by decreasing exponent; sums that
     cancel to zero drop out (two ordinal coefficients never cancel)."""
+    if not ta or not tb or ta[-1][0] > tb[0][0]:
+        return (*ta, *tb)  # ta ends above where tb starts: nothing to merge
     out = []
     i = j = 0
     la, lb = len(ta), len(tb)
@@ -68,20 +70,31 @@ def _merge_terms(ta, tb) -> list:
             j += 1
     out.extend(ta[i:])
     out.extend(tb[j:])
-    return out
+    return tuple(out)
+
+
+def _exp_sum(ea, eb):
+    """The natural sum of two exponents; two nonzero finite ones add as
+    integers, read through ``_finite``."""
+    if ea and eb and not ea[0][0] and not eb[0][0]:
+        return _finite(ea[0][1] + eb[0][1])
+    return nat_add(ea, eb)
 
 
 def _convolve_terms(ta, tb) -> tuple:
-    """Distributive product of two term lists: exponents add naturally (finite
-    ones as integers, via ``_finite``), like terms collect, zero sums drop out."""
+    """Distributive product of two term lists: exponents add naturally
+    (``_exp_sum``), like terms collect, zero sums drop out.  One term times
+    a list keeps the list's order (``x -> e + x`` is strictly increasing),
+    so a one-term side needs no bucket and no sort."""
+    if len(tb) == 1:
+        ta, tb = tb, ta  # a one-term side goes first
+    if len(ta) == 1:
+        ea, ca = ta[0]
+        return tuple((_exp_sum(ea, eb), ca * cb) for eb, cb in tb)
     bucket: dict = {}
     for ea, ca in ta:
-        ka = ea[0][1] if ea and not ea[0][0] else 0
         for eb, cb in tb:
-            if ka and eb and not eb[0][0]:
-                e = _finite(ka + eb[0][1])
-            else:
-                e = nat_add(ea, eb)
+            e = _exp_sum(ea, eb)
             bucket[e] = bucket.get(e, 0) + ca * cb
     exps = sorted((e for e, c in bucket.items() if c), reverse=True)
     return tuple((e, bucket[e]) for e in exps)

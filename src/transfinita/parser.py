@@ -6,6 +6,16 @@ that ``expr.run`` evaluates it in one loop over a value stack (the
 ``expr`` docstring lists the tags).  Each grammar method appends the
 instructions of its phrase.
 
+Constants fold as they are parsed (``_Parser.emit_op``): a natural ``+``
+or ``*`` of two ``const`` instructions, or ``w ^`` one, becomes one
+``const`` with the left operand's span, so a written-out normal form such
+as ``w^(w^2)*3 + 5`` is one instruction.  These never raise: they read no
+budget, and a parseable line nests powers of ``w`` at most ``MAX_NESTING``
+deep, below ``ordinal.MAX_DEPTH``.  Nothing else folds: the ``--oracle``
+check reads ``+.`` and ``*.`` from the last instruction, ``-.``, ``-``,
+``/`` and unary minus can raise or leave the ordinals, and other powers,
+``^^``, ``H`` and calls read the evaluation context.
+
 Grammar (EBNF; the README carries the same table):
 
     expr    = sum ;
@@ -39,7 +49,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .ordinal import OMEGA, _finite
+from .natural import nat_add, nat_mul
+from .ordinal import OMEGA, _finite, rec_pow
 
 
 @dataclass(frozen=True)
@@ -117,6 +128,26 @@ class _Parser:
         self.code = []
         self.emit = self.code.append
 
+    def emit_op(self, span, op: str) -> None:
+        # fold two constant operands of natural + and *, and of powers of
+        # w (see the module docstring for why these and no others)
+        code = self.code
+        x, y = code[-2], code[-1]  # the last instruction of each operand
+        if x[0] == "const" and y[0] == "const":
+            if op == "+":
+                v = nat_add(x[2], y[2])
+            elif op == "*":
+                v = nat_mul(x[2], y[2])
+            elif op == "^" and x[2] == OMEGA:
+                v = rec_pow(OMEGA, y[2])
+            else:
+                v = None
+            if v is not None:
+                code.pop()
+                code[-1] = ("const", x[1], v)
+                return
+        self.emit(("op", span, op))
+
     def fail(self, message: str, expected=()):
         _, _, line, col = self.tokens[self.pos]
         raise ParseError(Diagnostic(message, line, col, tuple(expected)))
@@ -133,7 +164,7 @@ class _Parser:
         while t[1] in _SUM_OPS:
             self.pos += 1
             self.parse_product()
-            self.emit(("op", t[2:], t[1]))
+            self.emit_op(t[2:], t[1])
             t = self.tokens[self.pos]
 
     parse_expr = parse_sum
@@ -144,7 +175,7 @@ class _Parser:
         while t[1] in _PROD_OPS:
             self.pos += 1
             self.parse_unary()
-            self.emit(("op", t[2:], t[1]))
+            self.emit_op(t[2:], t[1])
             t = self.tokens[self.pos]
 
     def parse_unary(self) -> None:
@@ -163,7 +194,7 @@ class _Parser:
             if t[1] in _POW_OPS:
                 self.pos += 1
                 self.parse_unary()  # right assoc
-                self.emit(("op", t[2:], t[1]))
+                self.emit_op(t[2:], t[1])
         self.depth -= 1
 
     def parse_atom(self) -> None:

@@ -137,7 +137,7 @@ def from_coordinates(c: CoordinateForm) -> SurInteger:
 
 def si_add(a: SurInteger, b: SurInteger) -> SurInteger:
     """Exponentwise signed sum; zero coefficients drop out."""
-    return _make(tuple(_merge_terms(a.terms, b.terms)))
+    return _make(_merge_terms(a.terms, b.terms))
 
 
 def neg(a: SurInteger) -> SurInteger:

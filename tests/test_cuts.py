@@ -1,7 +1,10 @@
 """Cut predicates over truncated fields and the Gaussian extension."""
 
+import random
+
 import pytest
-from hypothesis import given
+import hypothesis.strategies as st
+from hypothesis import example, given
 
 from transfinita import (
     CX_I,
@@ -30,11 +33,12 @@ from transfinita import (
     q_eq,
     q_mul,
 )
-from transfinita.cuts import _int_nth_root, _q_pow, _si_nth_root
+from transfinita.cuts import _int_nth_root, _q_pow, _si_nth_root, check_root
 from transfinita.surinteger import SurInteger, si_add, si_scale
 from transfinita.surrational import Q_ZERO, SurRational, midpoint, q_from_int, reduce
 
 from conftest import o, q, si, surrationals
+from random_values import random_surrational
 
 WW = None
 
@@ -91,6 +95,18 @@ class TestCutMembership:
             RootCut(q_from_int(2), 1, OMEGA)
         with pytest.raises(Undefined):
             RootCut(q("-2/1"), 2, OMEGA)
+
+    @given(st.integers(0, 2**32))
+    @example(None)  # the radicand 0
+    def test_radicand_sign_agrees_with_compare(self, seed):
+        # check_root reads the sign from the numerator's leading coefficient
+        p = Q_ZERO if seed is None else random_surrational(random.Random(seed), depth=2)
+        try:
+            check_root(p, 2)
+            accepted = True
+        except Undefined:
+            accepted = False
+        assert accepted == (q_compare(p, Q_ZERO) == GT)
 
     @given(surrationals())
     def test_root_membership_matches_power_comparison(self, p):

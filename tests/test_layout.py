@@ -1,10 +1,12 @@
-"""Layout rules: nothing public in the package is dead weight.
+"""Layout rules: nothing public in the package is dead weight, and the
+parser reaches no budgeted operation.
 
 Every public top-level function or class defined in ``src/transfinita`` must
 be exported from the package, used somewhere else in the package, or
 imported by the benchmark in ``bench/``.  Code that only tests use belongs
 under ``tests/``.  Every public method or property of a public class must be
-read as an attribute somewhere in ``src``, ``tests`` or ``bench``.
+read as an attribute somewhere in ``src``, ``tests`` or ``bench``.  The
+parser, which folds constants, imports only ``ordinal`` and ``natural``.
 """
 
 import ast
@@ -104,3 +106,18 @@ def _unread_members() -> list:
 
 def test_every_public_member_is_read():
     assert _unread_members() == []
+
+
+def test_parser_imports_only_ordinal_and_natural():
+    # The parser folds constants, so it must reach no operation that reads a
+    # budget or the evaluation context.  The package imports itself by
+    # relative imports only, so an absolute one counts as a breach too.
+    reached = set()
+    for node in ast.walk(_parse(SRC / "parser.py")):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level or name.startswith("transfinita"):
+                reached.add(name)
+        elif isinstance(node, ast.Import):
+            reached |= {a.name for a in node.names if a.name.startswith("transfinita")}
+    assert reached <= {"ordinal", "natural"}

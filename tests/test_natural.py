@@ -28,7 +28,7 @@ from transfinita import (
     si_add,
     si_mul,
 )
-from transfinita.natural import _convolve_terms
+from transfinita.natural import _convolve_terms, _merge_terms
 from transfinita.ordinal import _FINITE_TABLE, _FINITE_TABLE_SIZE, _finite, _make, validate
 from transfinita.surinteger import validate as validate_si
 
@@ -235,9 +235,10 @@ _KERNEL_EXPONENTS = st.one_of(
     st.integers(10**30, 10**30 + 2).map(Ordinal),
     ordinals(depth=2).filter(lambda e: not e.is_finite),
 )
-_KERNEL_TERMS = st.lists(
-    st.tuples(_KERNEL_EXPONENTS, st.integers(-2, 2).filter(bool)), max_size=5
-).map(lambda pairs: _merge_surinteger(pairs).terms)
+_KERNEL_COEFFS = st.integers(-2, 2).filter(bool)
+_KERNEL_TERMS = st.lists(st.tuples(_KERNEL_EXPONENTS, _KERNEL_COEFFS), max_size=5).map(
+    lambda pairs: _merge_surinteger(pairs).terms
+)
 
 
 class TestConvolutionKernel:
@@ -249,6 +250,26 @@ class TestConvolutionKernel:
         assert got == _convolve_by_nat_add(ta, tb)
         assert all(type(e) is Ordinal for e, _ in got)
         validate_si(SurInteger.from_terms(got))
+
+    @given(_KERNEL_TERMS, st.tuples(_KERNEL_EXPONENTS, _KERNEL_COEFFS).map(lambda t: (t,)))
+    @example(((Ordinal(5), 2), (ONE, -1)), ((Ordinal(3), -3),))
+    @example(((OMEGA, 1), (ZERO, 7)), ((ZERO, -1),))
+    def test_one_term_side_needs_no_sort(self, ta, tb):
+        # one term times a list keeps the list's order, on either side
+        for x, y in ((ta, tb), (tb, ta)):
+            got = _convolve_terms(x, y)
+            assert got == _convolve_by_nat_add(x, y)
+            assert all(type(e) is Ordinal for e, _ in got)
+
+    @given(_KERNEL_TERMS, _KERNEL_TERMS, st.integers(0, 5))
+    @example(((OMEGA, 2),), ((ONE, -1), (ZERO, 3)), 1)
+    def test_merge_equals_the_general_merge(self, ta, tb, k):
+        # any pair, and the pairs in order (a list split in two) that the
+        # shortcut concatenates; the reference collects terms and sorts afresh
+        whole = _merge_surinteger((*ta, *tb)).terms
+        for x, y in ((ta, tb), (whole[:k], whole[k:]), (whole[k:], whole[:k])):
+            got = _merge_terms(x, y)
+            assert type(got) is tuple and got == _merge_surinteger((*x, *y)).terms
 
     def test_finite_table_stays_within_its_size(self):
         # 5,000 distinct finite sums w * w^k = w^(k+1), then sums past 2^64

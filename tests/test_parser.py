@@ -24,8 +24,9 @@ from transfinita import (
     value_tree,
 )
 from transfinita.expr import evaluate
-from transfinita.hyper import EvalContext
-from transfinita.ordinal import OrdinalClass, _finite
+from transfinita.hyper import EvalContext, tetration
+from transfinita.ordinal import MAX_DEPTH, OrdinalClass, _finite
+from transfinita.ordinal import _depth as nesting_depth
 from transfinita.ordinal import _make as _make_ordinal
 from transfinita.parser import MAX_NESTING, tokenize
 from transfinita.surinteger import _make as _make_si
@@ -56,12 +57,31 @@ def ops(code) -> list:
 class TestGrammar:
     def test_precedence_tree(self):
         # + last, its right operand the lone 5 before it, its left one
-        # ending in the * that multiplies w^(w^2) by 3
-        assert ops(parse("w^(w^2)*3 + 5")) == [
-            ("const", OMEGA), ("const", OMEGA), ("const", Ordinal(2)),
+        # ending in the * that multiplies a^(b^2) by 3 (names do not fold)
+        assert ops(parse("a^(b^2)*3 + 5")) == [
+            ("var", "a"), ("var", "b"), ("const", Ordinal(2)),
             ("op", "^"), ("op", "^"), ("const", Ordinal(3)), ("op", "*"),
             ("const", Ordinal(5)), ("op", "+"),
         ]
+
+    def test_normal_form_folds_to_one_const(self):
+        # natural + and *, and powers of w, fold; the const keeps the span
+        # of its leftmost operand
+        assert parse("w^(w^2)*3 + 5") == [("const", (1, 1), o("w^(w^2)*3 + 5"))]
+        assert parse("(2 + 3) * w") == [("const", (1, 2), o("w*5"))]
+        assert parse("-w^2") == [("const", (1, 2), o("w^2")), ("neg", (1, 1), None)]
+
+    @pytest.mark.parametrize("source, last", [
+        ("2 +. 3", ("op", "+.")), ("2 *. 3", ("op", "*.")), ("2 -. 3", ("op", "-.")),
+        ("2 - 3", ("op", "-")), ("2 / 3", ("op", "/")), ("2 ^ 3", ("op", "^")),
+        ("(w + 1) ^ 2", ("op", "^")), ("w ^^ 2", ("op", "^^")), ("-3", ("neg", None)),
+        ("H[4](2, 2)", ("H", None)), ("classify(w)", ("call", ("classify", 1))),
+        ("(1, 2)", ("call", ("complex", 2))), ("x + 1", ("op", "+")),
+    ])
+    def test_what_does_not_fold(self, source, last):
+        # the oracle reads +. and *. from the last instruction; the others
+        # can raise, leave the ordinals, read the digit budget or a binding
+        assert ops(parse(source))[-1] == last
 
     def test_dotted_operator(self):
         assert parse("1 +. w") == [
@@ -95,6 +115,13 @@ class TestGrammar:
 
     def test_unary_minus(self):
         assert parse("-3") == [("const", (1, 2), Ordinal(3)), ("neg", (1, 1), None)]
+
+    def test_printed_ordinals_parse_to_one_const(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            v = random_ordinal(rng, depth=3)
+            code = parse(print_canonical(v))
+            assert ops(code) == [("const", v)] and type(code[0][2]) is Ordinal
 
 
 class TestDiagnostics:
@@ -206,7 +233,7 @@ class TestTokenizer:
         assert _lexed(tokenize, source) == _lexed(_ref_tokenize, source)
 
     def test_literals_come_from_the_finite_table(self):
-        (_, _, five), (_, _, zero) = parse("5 + 0")[:2]
+        (_, _, five), _, (_, _, zero) = parse("5 + x * 0")[:3]
         assert five is _finite(5) and type(five) is Ordinal and five == Ordinal(5)
         assert zero == ZERO and type(zero) is Ordinal
 
@@ -324,15 +351,28 @@ class TestNesting:
             within(20, evaluate, parse(NESTED["arguments"](MAX_NESTING)))
 
     def test_long_flat_sum_costs_no_frames(self):
-        code = parse(" + ".join(["1"] * 20_000))
+        code = parse(" + ".join(["x"] * 20_000))
         assert len(code) == 39_999
-        assert within(20, evaluate, code) == Ordinal(20_000)
+        assert within(20, evaluate, code, {"x": Ordinal(1)}) == Ordinal(20_000)
+        assert ops(parse(" + ".join(["1"] * 20_000))) == [("const", Ordinal(20_000))]
+
+    def test_omega_tower_folds_within_the_depth_bound(self):
+        # the tallest parseable w^w^...^w is one const, MAX_NESTING deep
+        code = within(4 * MAX_NESTING + 20, parse, "w^" * (MAX_NESTING - 1) + "w")
+        assert len(code) == 1 and code[0][0] == "const"
+        assert nesting_depth(code[0][2]) == MAX_NESTING <= MAX_DEPTH
+        assert code[0][2] == tetration(OMEGA, Ordinal(MAX_NESTING))
 
 
 # Lines from the grammar, shallow enough for the recursive reference.  H and
 # the right operand of ^^ take leaves only, and ^/^^ bracket their left
-# operand, so no line asks for a supremum that does not finish (2^^(w^2)).
+# operand (but for w ^ sub), so no line asks for a supremum that does not
+# finish (2^^(w^2)).  Normal forms, which the parser folds to one const, are
+# leaves too, so folded operands meet every operation that can fail.
 _LEAF = st.sampled_from(["0", "1", "2", "3", "12", "w", "x", "y", "eps0"])
+_NORMAL_FORM = st.sampled_from([
+    "w^2*3 + 5", "w*2", "w^w", "w^(w^2)*3 + w + 1", "(w + 2)*w", "1 + w^(w + 1)*2",
+])
 _BIN = ["+", "-", "*", "/", "+.", "-.", "*."]
 
 
@@ -341,6 +381,7 @@ def _grow(sub):
     return st.one_of(
         st.tuples(sub, st.sampled_from(_BIN), sub).map(" ".join),
         two.map(lambda ab: f"({ab[0]}) ^ {ab[1]}"),
+        sub.map(lambda a: f"w ^ {a}"),
         st.tuples(sub, _LEAF).map(lambda ab: f"({ab[0]}) ^^ {ab[1]}"),
         sub.map(lambda a: f"-{a}"),
         sub.map(lambda a: f"({a})"),
@@ -354,7 +395,7 @@ def _grow(sub):
     )
 
 
-_LINES = st.recursive(_LEAF, _grow, max_leaves=16)
+_LINES = st.recursive(_LEAF | _NORMAL_FORM, _grow, max_leaves=16)
 
 
 def _break(line, how, k):
@@ -392,6 +433,9 @@ class TestPostfixAgainstTree:
     @example("x² + x")
     @example("member(sqrt[2](2), 7/5, w) +. 1")
     @example("classify(sqrt[2](w^2)) * 2")
+    @example("w^2*3 + 5 -. x")
+    @example("w ^ w^(w^2)*3 + w + 1 - 1 / 0")
+    @example("w ^ -w*2 + 1")
     def test_same_value_or_error(self, source):
         assert _outcome(parse, evaluate, source) == _outcome(
             reference_tree.parse, reference_tree.evaluate, source
