@@ -85,12 +85,27 @@ def _convolve_terms(ta, tb) -> tuple:
     """Distributive product of two term lists: exponents add naturally
     (``_exp_sum``), like terms collect, zero sums drop out.  One term times
     a list keeps the list's order (``x -> e + x`` is strictly increasing),
-    so a one-term side needs no bucket and no sort."""
+    so a one-term side needs no bucket and no sort.
+
+    When both sides are non-empty and lead with a finite exponent, every
+    exponent is finite (terms decrease), so the two are polynomials in w:
+    their exponents are read as ints once per term, like terms collect
+    under int keys, and the keys sorted in decreasing order give the
+    exponents in the order of the finite ordinals they stand for."""
     if len(tb) == 1:
         ta, tb = tb, ta  # a one-term side goes first
     if len(ta) == 1:
         ea, ca = ta[0]
         return tuple((_exp_sum(ea, eb), ca * cb) for eb, cb in tb)
+    if ta and tb and ta[0][0].is_finite and tb[0][0].is_finite:
+        ib = [(e[0][1] if e else 0, c) for e, c in tb]
+        sums: dict = {}
+        for e, ca in ta:
+            i = e[0][1] if e else 0
+            for j, cb in ib:
+                k = i + j
+                sums[k] = sums.get(k, 0) + ca * cb
+        return tuple((_finite(k), sums[k]) for k in sorted(sums, reverse=True) if sums[k])
     bucket: dict = {}
     for ea, ca in ta:
         for eb, cb in tb:

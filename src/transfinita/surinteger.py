@@ -221,12 +221,10 @@ def cyclic_decompose(a: SurInteger):
     return NOT_CYCLIC
 
 
-def content(a: SurInteger) -> int:
-    """Positive gcd of all coefficients (0 for the zero value)."""
-    g = 0
-    for _, c in a.terms:
-        g = gcd(g, abs(c))
-    return g
+def content(*values: SurInteger) -> int:
+    """Positive gcd of all coefficients of all the values (0 when every
+    value is zero)."""
+    return gcd(*[c for a in values for _, c in a.terms])
 
 
 def surinteger_str(a: SurInteger) -> str:

@@ -17,11 +17,9 @@ bounding multiple there and reports NoWitness against, say, (1, omega).
 
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import NO_WITNESS, NOT_DIVISIBLE, DivisionByZero, Undefined
 from .ordinal import LT, Ordinal
-from .ordinal import _encode_terms
+from .ordinal import _encode_terms, _finite
 from .ordinal import _make as _make_ordinal
 from .surinteger import (
     S_ONE,
@@ -164,10 +162,20 @@ def _light_reduce(num: SurInteger, den: SurInteger) -> SurRational:
     # the cheap half of reduce(): shared integer content and shared monomial
     if num.is_zero:
         return SurRational(S_ZERO, S_ONE)
-    g = gcd(content(num), content(den))
+    g = content(num, den)
     if g > 1:
         num = _make(tuple((e, c // g) for e, c in num.terms))
         den = _make(tuple((e, c // g) for e, c in den.terms))
+    if num.terms[0][0].is_finite and den.terms[0][0].is_finite:
+        # both lead with a finite exponent, and terms decrease, so both are
+        # polynomials in w: the shared monomial is w^k, k the smaller of the
+        # two last exponents, and taking k from every exponent keeps the order
+        en, ed = num.terms[-1][0], den.terms[-1][0]
+        k = min(en[0][1] if en else 0, ed[0][1] if ed else 0)
+        if k:
+            num = _make(tuple((_finite(e[0][1] - k), c) for e, c in num.terms))
+            den = _make(tuple((_finite(e[0][1] - k), c) for e, c in den.terms))
+        return SurRational(num, den)
     shared = num.terms[0][0]
     for e, _ in num.terms[1:] + den.terms:
         if not shared:  # most pairs share nothing: stop at the first empty min

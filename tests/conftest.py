@@ -13,6 +13,7 @@ from transfinita import Ordinal, SurInteger, SurRational
 from transfinita.expr import as_ordinal, as_surrational, evaluate, promote
 from transfinita.parser import parse
 from transfinita.surinteger import _make as _make_si
+from transfinita.ordinal import _FINITE_TABLE_SIZE
 from transfinita.ordinal import _make as _make_ordinal
 
 settings.register_profile("suite", deadline=None, max_examples=120)
@@ -81,6 +82,24 @@ def surintegers(depth: int = 2, max_terms: int = 3, max_coeff: int = 9):
         return st.integers(-12, 12).map(SurInteger)
     sub = ordinals(depth - 1, max_terms, max_coeff)
     return st.lists(st.tuples(sub, coeff), max_size=max_terms).map(_merge_surinteger)
+
+
+# finite exponents dense near 0, sparse past the finite table's size, and
+# at 2^64 and up, which the table does not keep
+FINITE_EXPONENTS = st.one_of(
+    st.integers(0, 40),
+    st.integers(0, 3 * _FINITE_TABLE_SIZE),
+    st.integers(2**64, 2**64 + 40),
+)
+
+
+def polynomials(min_terms: int = 2, max_terms: int = 40):
+    """Polynomials in w (every exponent finite) as surintegers, with signed
+    coefficients up to 10^40 and small ones too, so that products cancel."""
+    coeff = st.one_of(st.integers(-2, 2), st.integers(-(10**40), 10**40)).filter(bool)
+    return st.dictionaries(FINITE_EXPONENTS, coeff, min_size=min_terms, max_size=max_terms).map(
+        lambda d: _make_si(tuple((Ordinal(k), d[k]) for k in sorted(d, reverse=True)))
+    )
 
 
 def surrationals(depth: int = 1, max_terms: int = 2, max_coeff: int = 9):

@@ -32,7 +32,7 @@ from transfinita.natural import _convolve_terms, _merge_terms
 from transfinita.ordinal import _FINITE_TABLE, _FINITE_TABLE_SIZE, _finite, _make, validate
 from transfinita.surinteger import validate as validate_si
 
-from conftest import _merge_surinteger, o, ordinals
+from conftest import _merge_surinteger, o, ordinals, polynomials
 from random_values import random_ordinal_below
 
 
@@ -239,6 +239,7 @@ _KERNEL_COEFFS = st.integers(-2, 2).filter(bool)
 _KERNEL_TERMS = st.lists(st.tuples(_KERNEL_EXPONENTS, _KERNEL_COEFFS), max_size=5).map(
     lambda pairs: _merge_surinteger(pairs).terms
 )
+_POLYNOMIAL_TERMS = polynomials().map(lambda a: a.terms)
 
 
 class TestConvolutionKernel:
@@ -250,6 +251,17 @@ class TestConvolutionKernel:
         assert got == _convolve_by_nat_add(ta, tb)
         assert all(type(e) is Ordinal for e, _ in got)
         validate_si(SurInteger.from_terms(got))
+
+    @given(_POLYNOMIAL_TERMS, _POLYNOMIAL_TERMS)
+    @example((), ((Ordinal(3), 1), (ZERO, -1)))  # a zero operand
+    # a finite-led side times a transfinite-led one takes the general path
+    @example(((Ordinal(3), 1), (ZERO, -1)), ((OMEGA, 2), (Ordinal(5), 1), (ZERO, 1)))
+    def test_polynomials_in_w_multiply_on_integer_exponents(self, ta, tb):
+        for x, y in ((ta, tb), (tb, ta)):
+            got = _convolve_terms(x, y)
+            assert got == _convolve_by_nat_add(x, y)
+            assert all(type(e) is Ordinal for e, _ in got)
+            validate_si(SurInteger.from_terms(got))
 
     @given(_KERNEL_TERMS, st.tuples(_KERNEL_EXPONENTS, _KERNEL_COEFFS).map(lambda t: (t,)))
     @example(((Ordinal(5), 2), (ONE, -1)), ((Ordinal(3), -3),))

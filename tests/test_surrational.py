@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 import hypothesis.strategies as st
-from hypothesis import given
+from hypothesis import example, given
 
 from transfinita import (
     EQ,
@@ -16,6 +16,7 @@ from transfinita import (
     DivisionByZero,
     InvalidLambda,
     SurInteger,
+    Ordinal,
     SurRational,
     Undefined,
     archimedean_witness,
@@ -29,13 +30,14 @@ from transfinita import (
     q_mul,
     q_neg,
     reduce,
+    si_add,
     si_mul,
 )
 from transfinita.ordinal import _make as _make_ordinal
 from transfinita.surinteger import S_ONE, S_ZERO, _make as _make_si, content, si_sub
 from transfinita.surrational import Q_ONE, Q_ZERO, _light_reduce, q_from_int, q_sub
 
-from conftest import o, ordinals, q, si, surintegers, surrationals
+from conftest import FINITE_EXPONENTS, o, ordinals, polynomials, q, si, surintegers, surrationals
 
 
 # Reference: the dict-based monomial helpers (content, strip, min, diff) and
@@ -132,6 +134,10 @@ def _wide():
 def _monomials():
     # w^m for a random exponent m (m = 0 gives 1, no shared monomial)
     return ordinals(depth=2, max_terms=3, max_coeff=4).map(lambda m: _make_si(((m, 1),)))
+
+
+def _transfinite_exponents():
+    return ordinals(depth=2, max_terms=3, max_coeff=4).filter(lambda e: not e.is_finite)
 
 
 def _same(got, ref):
@@ -282,6 +288,34 @@ class TestMonomialOps:
         shift = _make_si(((o(f"w^{k}*2 + w + {k}"), 6),))
         num, den = si_mul(num, shift), si_mul(den, shift)
         assert _same(_light_reduce(num, den), _ref_light_reduce(num, den))
+
+    @given(
+        polynomials(1, 12),
+        polynomials(1, 12),
+        FINITE_EXPONENTS,
+        st.integers(1, 10**6),
+        st.booleans(),
+    )
+    @example(si("w^3*2 - w"), si("w^2*4 + w"), 2**64 + 3, 1, False)
+    @example(si("w^3*6 - w*9"), SurInteger(4), 1, 3, True)  # a constant side
+    def test_light_reduce_on_polynomials(self, num, den, k, g, constant):
+        # both sides share w^k (none for k = 0) and g; a constant side
+        # shares only g
+        shared = _make_si(((Ordinal(k), g),))
+        num = si_mul(num, shared)
+        den = SurInteger(g * den.terms[-1][1]) if constant else si_mul(den, shared)
+        for x, y in ((num, den), (den, num)):
+            assert _same(_light_reduce(x, y), _ref_light_reduce(x, y))
+
+    @given(polynomials(1, 12), polynomials(1, 4), _transfinite_exponents(), FINITE_EXPONENTS)
+    @example(si("w^2 - w"), si("w*3"), OMEGA, 1)
+    def test_light_reduce_on_a_mixed_pair(self, poly, low, e, k):
+        # one side leads with a transfinite exponent: the general path runs
+        mixed = si_add(_make_si(((e, 3),)), low)
+        shared = _make_si(((Ordinal(k), 2),))
+        poly, mixed = si_mul(poly, shared), si_mul(mixed, shared)
+        for x, y in ((poly, mixed), (mixed, poly)):
+            assert _same(_light_reduce(x, y), _ref_light_reduce(x, y))
 
     @given(_wide(), _wide(), _wide(), _monomials())
     def test_exact_divide_matches_reference(self, a, b, c, m):
