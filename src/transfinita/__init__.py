@@ -59,7 +59,6 @@ from .natural import (
 from .hyper import (
     DEFAULT_CONTEXT,
     EvalContext,
-    fundamental_sequence,
     hyperop,
     is_hyper_number,
     next_hyper_number,

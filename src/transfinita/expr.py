@@ -1,11 +1,14 @@
 """Value model, and the evaluator of postfix code.
 
 Values promote strictly upward: ordinal -> surinteger -> surrational ->
-gaussian.  The bare operators ``+ * -`` are the natural (commutative)
-operations at whatever level the operands meet; the dot-suffixed operators
-``+. -. *.`` and the powers ``^ ^^`` are the recursive ordinal operations
-and require operands that demote exactly to ordinals.  ``a -. b`` is left
-subtraction: the unique g with ``a +. g == b``.
+gaussian.  A value lowers one level only when it is exactly a value of that
+level: a surinteger with no negative coefficient, a fraction whose
+denominator divides its numerator, a pair whose imaginary part is zero.
+The bare operators ``+ * -`` are the natural (commutative) operations at
+whatever level the operands meet; the dot-suffixed operators ``+. -. *.``
+and the powers ``^ ^^`` are the recursive ordinal operations and require
+operands that demote exactly to ordinals.  ``a -. b`` is left subtraction:
+the unique g with ``a +. g == b``.
 
 :func:`parser.parse` emits an expression as postfix code: a list of
 ``(tag, span, arg)`` instructions, operands before their operation.
@@ -30,6 +33,7 @@ span of the offending instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 from typing import Optional, Union
 
 from .cuts import (
@@ -47,12 +51,13 @@ from .cuts import (
     cx_neg,
     cx_sub,
 )
-from .errors import DivisionByZero, NotRepresentable, TransfinitaError, Undefined
+from .errors import NOT_DIVISIBLE, NotRepresentable, TransfinitaError, Undefined
 from .hyper import DEFAULT_CONTEXT, EvalContext, hyperop, tetration
 from .natural import nat_add, nat_mul
 from .ordinal import OMEGA, Ordinal, OrdinalClass, classify, rec_add, rec_mul, rec_pow, rec_sub_left
 from .surinteger import SurInteger, neg as si_neg, si_add, si_mul, si_sub, to_ordinal
 from .surrational import (
+    Q_ZERO,
     SurRational,
     exact_divide,
     from_surinteger,
@@ -98,7 +103,30 @@ class EvalError(TransfinitaError):
         super().__init__(f"{type(origin).__name__} in {operation}{where}: {origin}")
 
 
+# The value tower, one entry per level: _UP[l] lifts a level-l value to
+# level l + 1, and _DOWN[l] lowers it to level l - 1 when it is exactly such
+# a value (the lowering rule of the module docstring), or gives None.
 _LEVELS = {Ordinal: 0, SurInteger: 1, SurRational: 2, GaussianSurRational: 3}
+_UP = (SurInteger.from_ordinal, from_surinteger, lambda q: GaussianSurRational(q, Q_ZERO))
+_DOWN = (
+    None,
+    to_ordinal,
+    lambda q: None if (c := exact_divide(q.num, q.den)) is NOT_DIVISIBLE else c,
+    lambda z: z.re if z.im.is_zero else None,
+)
+
+# The natural operators, unary minus and value equality, one flat row each
+# (bench/layertrace.py swaps functions one container deep): the lowest level
+# the operator works at, then its function at levels 0 to 3.  Operands meet
+# at the highest of their levels and that floor.
+_NATURAL = {
+    "+": (0, nat_add, si_add, q_add, cx_add),
+    "*": (0, nat_mul, si_mul, q_mul, cx_mul),
+    "-": (1, None, si_sub, q_sub, cx_sub),
+    "/": (2, None, None, q_div, cx_div),
+    "neg": (1, None, si_neg, q_neg, cx_neg),
+    "==": (0, eq, eq, q_eq, cx_eq),
+}
 
 
 def _level(v: Value) -> int:
@@ -110,49 +138,37 @@ def _level(v: Value) -> int:
 
 def promote(v: Value, level: int) -> Value:
     """Lift a numeric value to the given tower level (never downward)."""
-    cur = _level(v)
-    while cur < level:
-        if cur == 0:
-            v = SurInteger.from_ordinal(v)
-        elif cur == 1:
-            v = from_surinteger(v)
-        else:
-            v = GaussianSurRational(v, SurRational(0))
-        cur += 1
+    for up in _UP[_level(v) : level]:
+        v = up(v)
     return v
 
 
 def as_ordinal(v: Value) -> Ordinal:
     """Demote a numeric value to an ordinal if it is exactly one."""
-    if isinstance(v, Ordinal):
+    lvl = _LEVELS.get(type(v))
+    while lvl:
+        lower = _DOWN[lvl](v)
+        if lower is None:
+            break
+        v, lvl = lower, lvl - 1
+    if lvl == 0:
         return v
-    if isinstance(v, SurInteger):
-        o = to_ordinal(v)
-        if o is not None:
-            return o
-    elif isinstance(v, SurRational):
-        c = exact_divide(v.num, v.den)
-        if isinstance(c, SurInteger):
-            return as_ordinal(c)
-    elif isinstance(v, GaussianSurRational):
-        if v.im.is_zero:
-            return as_ordinal(v.re)
     raise Undefined(f"{v!r} is not an ordinal")
 
 
 def as_surrational(v: Value) -> SurRational:
-    v = promote(v, max(_level(v), 2))
-    if isinstance(v, GaussianSurRational):
-        if not v.im.is_zero:
-            raise Undefined("a real (non-complex) value is required here")
-        return v.re
-    return v
+    if _level(v) < 3:
+        return promote(v, 2)
+    re = _DOWN[3](v)
+    if re is None:
+        raise Undefined("a real (non-complex) value is required here")
+    return re
 
 
-_NAT_DISPATCH = {
-    "+": (nat_add, si_add, q_add, cx_add),
-    "*": (nat_mul, si_mul, q_mul, cx_mul),
-}
+def _natural(op: str, x: Value, y: Value):
+    row = _NATURAL[op]
+    lvl = max(_level(x), _level(y), row[0])
+    return row[1 + lvl](promote(x, lvl), promote(y, lvl))
 
 
 def value_equal(u: Value, v: Value) -> bool:
@@ -169,13 +185,7 @@ def value_equal(u: Value, v: Value) -> bool:
                 return u.witness is v.witness
             return q_eq(u.witness, v.witness)
         return u == v
-    lvl = max(_level(u), _level(v))
-    u, v = promote(u, lvl), promote(v, lvl)
-    if lvl <= 1:
-        return u == v
-    if lvl == 2:
-        return q_eq(u, v)
-    return cx_eq(u, v)
+    return _natural("==", u, v)
 
 
 DEFAULT_AMBIENT = rec_pow(OMEGA, OMEGA)
@@ -220,8 +230,9 @@ def run(
                 stack[-1] = _binop(arg, stack[-1], y, ctx)
             elif tag == "neg":
                 v = stack[-1]
-                lvl = max(_level(v), 1)
-                stack[-1] = (None, si_neg, q_neg, cx_neg)[lvl](promote(v, lvl))
+                row = _NATURAL["neg"]
+                lvl = max(_level(v), row[0])
+                stack[-1] = row[1 + lvl](promote(v, lvl))
             elif tag == "call":
                 name, n = arg
                 args = stack[len(stack) - n :]
@@ -243,21 +254,8 @@ def run(
 
 
 def _binop(op: str, x: Value, y: Value, ctx: EvalContext) -> Value:
-    if op in ("+", "*"):
-        lvl = max(_level(x), _level(y))
-        fn = _NAT_DISPATCH[op][lvl]
-        return fn(promote(x, lvl), promote(y, lvl))
-    if op == "-":
-        lvl = max(_level(x), _level(y), 1)
-        fn = (None, si_sub, q_sub, cx_sub)[lvl]
-        return fn(promote(x, lvl), promote(y, lvl))
-    if op == "/":
-        if max(_level(x), _level(y)) == 3:
-            return cx_div(promote(x, 3), promote(y, 3))
-        p, q = as_surrational(x), as_surrational(y)
-        if q.is_zero:
-            raise DivisionByZero("division by zero")
-        return q_div(p, q)
+    if op in _NATURAL:
+        return _natural(op, x, y)
     a, b = as_ordinal(x), as_ordinal(y)
     if op == "+.":
         return rec_add(a, b)

@@ -27,13 +27,9 @@ from .ordinal import (
     ONE,
     ZERO,
     Ordinal,
-    OrdinalClass,
     _check_depth,
     _depth,
-    _make,
     _pow,
-    classify,
-    predecessor,
     rec_add,
     rec_mul,
     rec_pow,
@@ -52,24 +48,6 @@ class EvalContext:
 
 
 DEFAULT_CONTEXT = EvalContext()
-
-
-def fundamental_sequence(b: Ordinal, k: int) -> Ordinal:
-    """k-th member of the canonical increasing sequence cofinal in limit b."""
-    if classify(b) is not OrdinalClass.LIMIT:
-        raise Undefined("fundamental sequences exist only for limit ordinals")
-    e, c = b[-1]
-    prefix = b[:-1] + ((e, c - 1),) if c > 1 else b[:-1]
-    return rec_add(_make(prefix), _omega_power_fs(e, k))
-
-
-def _omega_power_fs(e: Ordinal, k: int) -> Ordinal:
-    # canonical sequence below w^e, e >= 1
-    if classify(e) is OrdinalClass.SUCCESSOR:
-        if k == 0:
-            return ZERO
-        return _make(((predecessor(e), k),))
-    return _make(((fundamental_sequence(e, k), 1),))
 
 
 def _as_index(index) -> Ordinal:

@@ -74,9 +74,13 @@ def _merge_terms(ta, tb) -> tuple:
 
 
 def _exp_sum(ea, eb):
-    """The natural sum of two exponents; two nonzero finite ones add as
-    integers, read through ``_finite``."""
-    if ea and eb and not ea[0][0] and not eb[0][0]:
+    """The natural sum of two exponents; a zero one gives the other, and
+    two nonzero finite ones add as integers, read through ``_finite``."""
+    if not ea:
+        return eb
+    if not eb:
+        return ea
+    if not ea[0][0] and not eb[0][0]:
         return _finite(ea[0][1] + eb[0][1])
     return nat_add(ea, eb)
 

@@ -3,10 +3,15 @@ postfix code and its flat loop replaced.
 
 ``parse`` builds a tree of frozen dataclasses by recursive descent and
 ``evaluate`` walks it by recursion, one call per node.  Both share only the
-tokenizer, the value model and the arithmetic with the package, so a
+tokenizer, the value classes and the arithmetic with the package, so a
 difference in value, error kind, operation, span or message between this
 pair and ``transfinita.evaluate(transfinita.parse(s))`` is a front-end
 defect.  Lines must be shallow: this pair nests Python frames per level.
+
+Moving values along the tower is the front end's too, so this module keeps
+its own copy of the type ladders that ``expr``'s tower tables replaced:
+``_level``, ``promote``, ``as_ordinal``, ``as_surrational`` and
+``value_equal``.
 """
 
 from __future__ import annotations
@@ -17,34 +22,121 @@ from typing import Optional
 from transfinita.cuts import (
     GaussianSurRational,
     RationalCut,
+    RootClassification,
     RootCut,
     check_root,
     classify_root_cut,
     cut_member,
     cx_add,
     cx_div,
+    cx_eq,
     cx_mul,
     cx_neg,
     cx_sub,
 )
 from transfinita.errors import DivisionByZero, NotRepresentable, TransfinitaError, Undefined
-from transfinita.expr import (
-    DEFAULT_AMBIENT,
-    CutHandle,
-    EvalError,
-    _level,
-    as_ordinal,
-    as_surrational,
-    promote,
-)
+from transfinita.expr import DEFAULT_AMBIENT, CutHandle, EvalError
 from transfinita.hyper import DEFAULT_CONTEXT, hyperop, tetration
 from transfinita.natural import nat_add, nat_mul
-from transfinita.ordinal import OMEGA, Ordinal, classify, rec_add, rec_mul, rec_pow, rec_sub_left
+from transfinita.ordinal import (
+    OMEGA,
+    Ordinal,
+    OrdinalClass,
+    classify,
+    rec_add,
+    rec_mul,
+    rec_pow,
+    rec_sub_left,
+)
 from transfinita.parser import Diagnostic, ParseError, tokenize
-from transfinita.surinteger import neg as si_neg, si_add, si_mul, si_sub
-from transfinita.surrational import q_add, q_div, q_mul, q_neg, q_sub
+from transfinita.surinteger import SurInteger, neg as si_neg, si_add, si_mul, si_sub, to_ordinal
+from transfinita.surrational import (
+    SurRational,
+    exact_divide,
+    from_surinteger,
+    q_add,
+    q_div,
+    q_eq,
+    q_mul,
+    q_neg,
+    q_sub,
+)
 
 Span = Optional[tuple]
+
+
+_LEVELS = {Ordinal: 0, SurInteger: 1, SurRational: 2, GaussianSurRational: 3}
+
+
+def _level(v):
+    try:
+        return _LEVELS[type(v)]
+    except KeyError:
+        raise Undefined(f"{v!r} is not a numeric value") from None
+
+
+def promote(v, level):
+    """Lift a numeric value to the given tower level (never downward)."""
+    cur = _level(v)
+    while cur < level:
+        if cur == 0:
+            v = SurInteger.from_ordinal(v)
+        elif cur == 1:
+            v = from_surinteger(v)
+        else:
+            v = GaussianSurRational(v, SurRational(0))
+        cur += 1
+    return v
+
+
+def as_ordinal(v):
+    """Demote a numeric value to an ordinal if it is exactly one."""
+    if isinstance(v, Ordinal):
+        return v
+    if isinstance(v, SurInteger):
+        o = to_ordinal(v)
+        if o is not None:
+            return o
+    elif isinstance(v, SurRational):
+        c = exact_divide(v.num, v.den)
+        if isinstance(c, SurInteger):
+            return as_ordinal(c)
+    elif isinstance(v, GaussianSurRational):
+        if v.im.is_zero:
+            return as_ordinal(v.re)
+    raise Undefined(f"{v!r} is not an ordinal")
+
+
+def as_surrational(v):
+    v = promote(v, max(_level(v), 2))
+    if isinstance(v, GaussianSurRational):
+        if not v.im.is_zero:
+            raise Undefined("a real (non-complex) value is required here")
+        return v.re
+    return v
+
+
+def value_equal(u, v):
+    """Equality across tower levels (cross-multiplied where fractions occur)."""
+    if isinstance(u, bool) or isinstance(v, bool):
+        return u is v
+    if isinstance(u, (OrdinalClass, RootClassification)) or isinstance(
+        v, (OrdinalClass, RootClassification)
+    ):
+        if isinstance(u, RootClassification) and isinstance(v, RootClassification):
+            if u.kind != v.kind:
+                return False
+            if u.witness is None or v.witness is None:
+                return u.witness is v.witness
+            return q_eq(u.witness, v.witness)
+        return u == v
+    lvl = max(_level(u), _level(v))
+    u, v = promote(u, lvl), promote(v, lvl)
+    if lvl <= 1:
+        return u == v
+    if lvl == 2:
+        return q_eq(u, v)
+    return cx_eq(u, v)
 
 
 @dataclass(frozen=True)

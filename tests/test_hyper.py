@@ -20,7 +20,6 @@ from transfinita import (
     Undefined,
     Unsupported,
     compare,
-    fundamental_sequence,
     hyperop,
     is_hyper_number,
     next_hyper_number,
@@ -217,6 +216,24 @@ def _limit_of_samples(tail, budget: int = 4) -> Ordinal:
             e_lim = _limit_of_samples([ex, ey, ez], budget - 1)
             return rec_add(prefix, _make(((e_lim, 1),)))
     raise Unsupported("no stable shape detected in the supremum sequence")
+
+
+def fundamental_sequence(b: Ordinal, k: int) -> Ordinal:
+    """k-th member of the canonical increasing sequence cofinal in limit b."""
+    if classify(b) is not OrdinalClass.LIMIT:
+        raise Undefined("fundamental sequences exist only for limit ordinals")
+    e, c = b[-1]
+    prefix = b[:-1] + ((e, c - 1),) if c > 1 else b[:-1]
+    return rec_add(_make(prefix), _omega_power_fs(e, k))
+
+
+def _omega_power_fs(e: Ordinal, k: int) -> Ordinal:
+    # canonical sequence below w^e, e >= 1
+    if classify(e) is OrdinalClass.SUCCESSOR:
+        if k == 0:
+            return ZERO
+        return _make(((predecessor(e), k),))
+    return _make(((fundamental_sequence(e, k), 1),))
 
 
 def _unfold(n, a, b, ctx):

@@ -7,6 +7,8 @@ imported by the benchmark in ``bench/``.  Code that only tests use belongs
 under ``tests/``.  Every public method or property of a public class must be
 read as an attribute somewhere in ``src``, ``tests`` or ``bench``.  The
 parser, which folds constants, imports only ``ordinal`` and ``natural``.
+``expr`` moves values along the numeric tower through its tables, never by
+an ``isinstance`` test on a tower type.
 """
 
 import ast
@@ -121,3 +123,25 @@ def test_parser_imports_only_ordinal_and_natural():
         elif isinstance(node, ast.Import):
             reached |= {a.name for a in node.names if a.name.startswith("transfinita")}
     assert reached <= {"ordinal", "natural"}
+
+
+_TOWER_TYPES = {"Ordinal", "SurInteger", "SurRational", "GaussianSurRational"}
+
+
+def test_expr_dispatches_on_the_tower_by_table():
+    # promotion, lowering and the natural operators read expr's tower
+    # tables; an isinstance test on a tower type would be a second ladder
+    named = []
+    for node in ast.walk(_parse(SRC / "expr.py")):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            named += [
+                (n.id, node.lineno)
+                for n in ast.walk(node.args[1])
+                if isinstance(n, ast.Name) and n.id in _TOWER_TYPES
+            ]
+    assert named == []

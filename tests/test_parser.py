@@ -23,14 +23,16 @@ from transfinita import (
     value_equal,
     value_tree,
 )
-from transfinita.expr import evaluate
+from transfinita import expr as tower
+from transfinita.cuts import CX_ONE, CX_ZERO, GaussianSurRational, RootClassification
+from transfinita.expr import CutHandle, evaluate
 from transfinita.hyper import EvalContext, tetration
 from transfinita.ordinal import MAX_DEPTH, OrdinalClass, _finite
 from transfinita.ordinal import _depth as nesting_depth
 from transfinita.ordinal import _make as _make_ordinal
 from transfinita.parser import MAX_NESTING, tokenize
-from transfinita.surinteger import _make as _make_si
-from transfinita.surrational import SurRational
+from transfinita.surinteger import _make as _make_si, si_mul
+from transfinita.surrational import Q_ZERO, SurRational
 
 import reference_tree
 from conftest import o, q, si
@@ -440,6 +442,83 @@ class TestPostfixAgainstTree:
         assert _outcome(parse, evaluate, source) == _outcome(
             reference_tree.parse, reference_tree.evaluate, source
         )
+
+
+
+def _seeded(gen):
+    return st.integers(0, 2**32 - 1).map(lambda seed: gen(random.Random(seed)))
+
+
+_SURINTEGERS = _seeded(random_ordinal).map(lambda a: reference_tree.promote(a, 1)) | _seeded(
+    random_surinteger
+)
+# fractions whose denominator divides the numerator, and pairs whose
+# imaginary part is zero: the values that lower a level
+_DIVIDING = st.tuples(_SURINTEGERS, _SURINTEGERS.filter(bool)).map(
+    lambda ab: SurRational(si_mul(ab[0], ab[1]), ab[1])
+)
+_REAL_PAIRS = st.tuples(_seeded(random_surrational) | _DIVIDING, st.integers(1, 3)).map(
+    lambda rk: GaussianSurRational(rk[0], SurRational(0, rk[1]))
+)
+_TOWER_VALUES = st.one_of(
+    _seeded(random_ordinal),
+    _seeded(random_surinteger),
+    _seeded(random_surrational),
+    _seeded(random_gaussian),
+    _DIVIDING,
+    _REAL_PAIRS,
+    st.sampled_from([
+        True,
+        OrdinalClass.LIMIT,
+        RootClassification("irrational"),
+        RootClassification("surrational", SurRational(1, 2)),
+        CutHandle(SurRational(2), 2),
+    ]),
+)
+_W_PLUS_ONE = SurRational(si("w^2 - 1"), si("w - 1"))
+
+
+def _tower_outcome(fn, *args):
+    try:
+        v = fn(*args)
+    except Exception as err:  # a defect too: it must be the same one
+        return "raise", type(err).__name__, str(err)
+    if isinstance(v, bool):
+        return "value", v
+    return "value", type(v), value_tree(v)
+
+
+class TestTowerAgainstLadder:
+    """``expr``'s tower tables against the type ladders they replaced, kept
+    in ``reference_tree``: the same value, or the same error and message."""
+
+    @settings(max_examples=400)
+    @given(_TOWER_VALUES, _TOWER_VALUES)
+    @example(SurRational(1, 2), SurRational(0, 3))  # division by a zero fraction
+    @example(CX_ONE, CX_ZERO)  # division by (0, 0)
+    @example(_W_PLUS_ONE, SurRational(si("w - 1")))
+    @example(SurRational(si("w"), si("w - 1")), Ordinal(2))  # does not divide
+    @example(GaussianSurRational(_W_PLUS_ONE, Q_ZERO), GaussianSurRational(SurRational(-1), Q_ZERO))
+    def test_same_value_or_error(self, x, y):
+        for name in ("as_ordinal", "as_surrational"):
+            got = _tower_outcome(getattr(tower, name), x)
+            assert got == _tower_outcome(getattr(reference_tree, name), x), name
+        for level in range(4):
+            got = _tower_outcome(tower.promote, x, level)
+            assert got == _tower_outcome(reference_tree.promote, x, level), level
+        got = _tower_outcome(tower.value_equal, x, y)
+        assert got == _tower_outcome(reference_tree.value_equal, x, y)
+        for op in "+*-/":
+            got = _tower_outcome(tower._binop, op, x, y, _CTX)
+            assert got == _tower_outcome(reference_tree._binop, op, x, y, _CTX), op
+
+    def test_lowering_examples(self):
+        assert tower.as_ordinal(_W_PLUS_ONE) == o("w + 1")
+        assert tower.as_ordinal(GaussianSurRational(_W_PLUS_ONE, Q_ZERO)) == o("w + 1")
+        with pytest.raises(Undefined, match=r"^SurInteger\[-1\] is not an ordinal$"):
+            tower.as_ordinal(GaussianSurRational(SurRational(-1), Q_ZERO))
+        with pytest.raises(Undefined, match="is not an ordinal"):
+            tower.as_ordinal(SurRational(si("w"), si("w - 1")))
 
 
 class TestCanonicalPrinting:
