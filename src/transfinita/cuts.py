@@ -9,13 +9,13 @@ though the cut itself is an infinite set.
 
 Root cuts classify as surrational (an exact n-th root exists, returned as a
 witness) or irrational.  The decision is structural: integer radicands use
-exact integer roots, monomial radicands divide the exponent and take the
-root of the coefficient.  Any other radicand is tested exactly for a finite
-root ``i/j`` with ``i, j`` up to a search bound: ``(i/j)^n == num/den``
-holds only when numerator and denominator have the same exponents and
-proportional coefficients whose ratio, in lowest terms, is a pair of
-perfect n-th powers.  Past the bound, or for any other shape, the answer is
-``inconclusive`` rather than a guess.
+exact integer roots, monomial radicands the monomial root of the exponent
+(``natural._exp_root``) and the root of the coefficient.  Any other radicand
+is tested exactly for a finite root ``i/j`` with ``i, j`` up to a search
+bound: ``(i/j)^n == num/den`` holds only when numerator and denominator have
+the same exponents and proportional coefficients whose ratio, in lowest
+terms, is a pair of perfect n-th powers.  Past the bound, or for any other
+shape, the answer is ``inconclusive`` rather than a guess.
 
 The Gaussian extension is the plain pair construction with the textbook
 formulas; over an ordered field they make every nonzero element invertible.
@@ -28,8 +28,8 @@ from math import gcd, isqrt
 from typing import Optional
 
 from .errors import DivisionByZero, OutOfField, Undefined
+from .natural import _exp_root
 from .ordinal import DEFAULT_MAX_DIGITS, LT, Ordinal, _check_pow_digits
-from .ordinal import _make as _make_ordinal
 from .surinteger import (
     SurInteger,
     _make as _make_si,
@@ -128,6 +128,8 @@ def _int_nth_root(v: int, n: int) -> int:
     # stops at the floor.
     if v < 2:
         return v
+    if n >= v.bit_length():  # 2^n > v: the root is 1, whatever n is
+        return 1
     if n == 2:
         return isqrt(v)
     x = 1 << -(-v.bit_length() // n)
@@ -149,19 +151,12 @@ def _si_nth_root(a: SurInteger, n: int):
     e, c = a.terms[0]
     if c < 0 and n % 2 == 0:
         return None, True
-    root_c = _int_nth_root(abs(c), n)
-    if root_c**n != abs(c):
+    # the n-th power of any value leads with n times its leading exponent,
+    # so e needs a monomial n-th root and c an integer one
+    root_c, root_e = _int_nth_root(abs(c), n), _exp_root(e, n)
+    if root_c**n != abs(c) or root_e is None:
         return None, True
-    if c < 0:
-        root_c = -root_c
-    if not e:
-        return SurInteger(root_c), True
-    # monomial: every coefficient of the exponent must divide by n, since
-    # the n-th power of any value leads with n times its leading exponent
-    if any(k % n for _, k in e):
-        return None, True
-    root_e = _make_ordinal(tuple((x, k // n) for x, k in e))
-    return _make_si(((root_e, root_c),)), True
+    return _make_si(((root_e, root_c if c > 0 else -root_c),)), True
 
 
 def classify_root_cut(cut: RootCut) -> RootClassification:
@@ -196,7 +191,8 @@ def _finite_root(q: SurRational, n: int) -> Optional[SurRational]:
     side's terms by a positive integer, so num and den share their exponents
     and their coefficients have one ratio ``a/b`` (positive, as q > 0).  In
     lowest terms ``a == i0^n`` and ``b == j0^n`` for ``i0/j0`` in lowest
-    terms, and every solution is a multiple ``(k*i0, k*j0)``.
+    terms, and every solution is a multiple ``(k*i0, k*j0)``.  So the bound
+    is checked on the extracted roots (1 when n passes a's and b's bits).
     """
     tn, td = q.num.terms, q.den.terms
     if len(tn) != len(td):
@@ -205,10 +201,8 @@ def _finite_root(q: SurRational, n: int) -> Optional[SurRational]:
     a, b = tn[0][1] // g, td[0][1] // g
     if any(en != ed or cn * b != cd * a for (en, cn), (ed, cd) in zip(tn, td)):
         return None
-    if max(a, b) > ROOT_SEARCH_BOUND**n:
-        return None
     i, j = _int_nth_root(a, n), _int_nth_root(b, n)
-    if i**n != a or j**n != b:
+    if max(i, j) > ROOT_SEARCH_BOUND or i**n != a or j**n != b:
         return None
     return SurRational(SurInteger(i), SurInteger(j))
 

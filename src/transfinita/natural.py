@@ -73,9 +73,11 @@ def _merge_terms(ta, tb) -> tuple:
     return tuple(out)
 
 
+# The monomial operations: w^(w^z*k + ...) reads as x_z^k * ... in the x_z =
+# w^(w^z); the binary ones read two nonzero finite exponents as ints.
 def _exp_sum(ea, eb):
-    """The natural sum of two exponents; a zero one gives the other, and
-    two nonzero finite ones add as integers, read through ``_finite``."""
+    """The natural sum of two exponents (monomial product); a zero one gives
+    the other, and two nonzero finite ones add as integers."""
     if not ea:
         return eb
     if not eb:
@@ -83,6 +85,41 @@ def _exp_sum(ea, eb):
     if not ea[0][0] and not eb[0][0]:
         return _finite(ea[0][1] + eb[0][1])
     return nat_add(ea, eb)
+
+
+def _exp_min(x, y):
+    """Componentwise min of two exponents (monomial gcd)."""
+    if not (x and y):
+        return ZERO
+    if not x[0][0] and not y[0][0]:
+        return min(x, y)
+    dy = dict(y)
+    return _make(tuple((e, min(k, dy[e])) for e, k in x if e in dy))
+
+
+def _exp_diff(x, y):
+    """The exponent d with ``_exp_sum(y, d) == x`` (monomial quotient), or
+    None when some component of y exceeds x's."""
+    if not y:
+        return x
+    if x and not x[0][0] and not y[0][0]:
+        d = x[0][1] - y[0][1]
+        return _finite(d) if d >= 0 else None
+    left = dict(x)
+    for e, k in y:
+        have = left.get(e, 0)
+        if have < k:
+            return None
+        left[e] = have - k
+    return _make(tuple((e, left[e]) for e, _ in x if left[e]))
+
+
+def _exp_root(x, n: int):
+    """The exponent r with n copies of r summing to x (monomial n-th root),
+    or None when some component does not divide by n."""
+    if any(k % n for _, k in x):
+        return None
+    return _make(tuple((e, k // n) for e, k in x))
 
 
 def _convolve_terms(ta, tb) -> tuple:

@@ -226,18 +226,16 @@ def rec_sub_left(a: Ordinal, b: Ordinal) -> Ordinal:
 
 
 def rec_mul(a: Ordinal, b: Ordinal) -> Ordinal:
-    """Recursive product, distributed over b's normal form left-to-right."""
+    """Recursive product, distributed over b's normal form left-to-right:
+    ``za + e`` (za a's leading exponent) strictly increases with e, so each
+    part lies below the one before and the product is the parts in order."""
     if not a or not b:
         return ZERO
     za, ca = a[0]
-    out = ZERO
-    for e, c in b:
-        if e:
-            part = _make(((rec_add(za, e), c),))
-        else:
-            part = _make(((za, ca * c),) + a[1:])
-        out = rec_add(out, part)
-    return out
+    out = [(rec_add(za, e), c) for e, c in b if e]
+    if not b[-1][0]:
+        out += ((za, ca * b[-1][1]), *a[1:])
+    return _make(tuple(out))
 
 
 def _check_pow_digits(base: int, exp: int, max_digits: int) -> None:
@@ -315,10 +313,8 @@ def _pow(a: Ordinal, b: Ordinal, max_digits: int) -> Ordinal:
             _check_pow_digits(m, int(b), max_digits)
             return Ordinal(m ** int(b))
         # m^(w^e * k) = w^(w^(e-1) * k) for finite e, w^(w^e * k) for limit e
-        head_exp = ZERO
-        for e, k in b:
-            if e:
-                head_exp = rec_add(head_exp, _make(((_dec_exp(e), k),)))
+        # _dec_exp is strictly increasing, so the terms stay in order
+        head_exp = _make(tuple((_dec_exp(e), k) for e, k in b if e))
         head = _make(((head_exp, 1),))
         if finite_part:
             _check_pow_digits(m, finite_part, max_digits)

@@ -8,7 +8,8 @@ one variable x_z = w^(w^z) per exponent z, so gcds exist, but :func:`reduce`
 does not compute one: it divides out what it can find (integer content, a
 shared monomial, one side dividing the other), and the ``reduced`` flag
 records that this ran, not that the pair is coprime.  So equal values can
-print different text.
+print different text.  Exponents are monomials in the x_z, and their gcd and
+quotient are ``natural._exp_min`` and ``_exp_diff``.
 
 The field truncated at omega is the ordinary rationals and is the only
 Archimedean stage of the tower: :func:`archimedean_witness` finds the
@@ -18,9 +19,8 @@ bounding multiple there and reports NoWitness against, say, (1, omega).
 from __future__ import annotations
 
 from .errors import NO_WITNESS, NOT_DIVISIBLE, DivisionByZero, Undefined
-from .ordinal import LT, Ordinal
-from .ordinal import _encode_terms, _finite
-from .ordinal import _make as _make_ordinal
+from .natural import _exp_diff, _exp_min
+from .ordinal import LT, Ordinal, _encode_terms
 from .surinteger import (
     S_ONE,
     S_ZERO,
@@ -139,25 +139,6 @@ def from_surinteger(a: SurInteger) -> SurRational:
     return SurRational(a, S_ONE, reduced=True)
 
 
-def _exp_min(x: Ordinal, y: Ordinal) -> Ordinal:
-    # componentwise min of two exponents read as monomials in the x_z:
-    # w^(w^z*k + ...) is x_z^k * ...; x's order is already decreasing
-    dy = dict(y)
-    return _make_ordinal(tuple((e, min(k, dy[e])) for e, k in x if e in dy))
-
-
-def _exp_diff(x: Ordinal, y: Ordinal):
-    # the monomial quotient x - y (nat_add(y, x - y) == x), or None when a
-    # component of y exceeds x's
-    left = dict(x)
-    for e, k in y:
-        have = left.get(e, 0)
-        if have < k:
-            return None
-        left[e] = have - k
-    return _make_ordinal(tuple((e, left[e]) for e, _ in x if left[e]))
-
-
 def _light_reduce(num: SurInteger, den: SurInteger) -> SurRational:
     # the cheap half of reduce(): shared integer content and shared monomial
     if num.is_zero:
@@ -166,22 +147,14 @@ def _light_reduce(num: SurInteger, den: SurInteger) -> SurRational:
     if g > 1:
         num = _make(tuple((e, c // g) for e, c in num.terms))
         den = _make(tuple((e, c // g) for e, c in den.terms))
-    if num.terms[0][0].is_finite and den.terms[0][0].is_finite:
-        # both lead with a finite exponent, and terms decrease, so both are
-        # polynomials in w: the shared monomial is w^k, k the smaller of the
-        # two last exponents, and taking k from every exponent keeps the order
-        en, ed = num.terms[-1][0], den.terms[-1][0]
-        k = min(en[0][1] if en else 0, ed[0][1] if ed else 0)
-        if k:
-            num = _make(tuple((_finite(e[0][1] - k), c) for e, c in num.terms))
-            den = _make(tuple((_finite(e[0][1] - k), c) for e, c in den.terms))
-        return SurRational(num, den)
-    shared = num.terms[0][0]
-    for e, _ in num.terms[1:] + den.terms:
-        if not shared:  # most pairs share nothing: stop at the first empty min
-            break
-        shared = _exp_min(shared, e)
+    # the shared monomial: the componentwise min over every exponent, from
+    # the two last ones; a constant term (most pairs) ends the walk at once
+    shared = _exp_min(num.terms[-1][0], den.terms[-1][0])
     if shared:
+        for e, _ in num.terms[:-1] + den.terms[:-1]:
+            shared = _exp_min(shared, e)
+            if not shared:
+                return SurRational(num, den)
         num = _make(tuple((_exp_diff(e, shared), c) for e, c in num.terms))
         den = _make(tuple((_exp_diff(e, shared), c) for e, c in den.terms))
     return SurRational(num, den)

@@ -335,6 +335,21 @@ class TestBatch:
             # eval reports the record's kind and message, as the REPL does
             assert err == f"error: ResourceExceeded: value nested too deeply (more than {MAX_DEPTH} levels)\n"
 
+    def test_root_degrees_larger_than_the_radicand(self, tmp_path, capsys):
+        # at n = 10^18 the first line was an internal MemoryError from
+        # building 2**(n-1), and the second did not end: it built
+        # ROOT_SEARCH_BOUND**n.  The last two sit on either side of that bound.
+        n = 10**18
+        recs = self.batch(
+            tmp_path, capsys,
+            f"classify(sqrt[{n}](2))", f"classify(sqrt[{n}]((w*2 + 2)/(w*3 + 3)))",
+            "classify(sqrt[2]((w*625 + 625)/(w*4 + 4)))",
+            "classify(sqrt[2]((w*576 + 576)/(w*25 + 25)))",
+        )
+        assert [r["canonical"] for r in recs] == [
+            "Irrational", "Inconclusive", "Inconclusive", "Surrational(24 / 5)",
+        ]
+
     def test_impossible_root_cuts_are_undefined(self, tmp_path, capsys):
         # each printed as a cut; only member() and classify() refused it
         recs = self.batch(

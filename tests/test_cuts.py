@@ -227,6 +227,12 @@ class TestExactRootTest:
             for v in (10**400, 10**400 + 1, 3**900 - 1, 2**2000, 10**309):
                 r = _int_nth_root(v, n)
                 assert r**n <= v < (r + 1) ** n
+        # degrees around the bit length, where the root becomes 1, and far past it
+        for v in range(2, 70):
+            for n in {*range(2, 9), v.bit_length() - 1, v.bit_length()} - {1}:
+                r = _int_nth_root(v, n)
+                assert r**n <= v < (r + 1) ** n
+        assert _int_nth_root(10**400, 10**18) == 1
         out = classify_root_cut(RootCut(q("10^400"), 2, WW))
         assert out.kind == "surrational" and q_eq(out.witness, q("10^200"))
         assert classify_root_cut(RootCut(q("10^401"), 2, WW)).kind == "irrational"

@@ -8,7 +8,9 @@ under ``tests/``.  Every public method or property of a public class must be
 read as an attribute somewhere in ``src``, ``tests`` or ``bench``.  The
 parser, which folds constants, imports only ``ordinal`` and ``natural``.
 ``expr`` moves values along the numeric tower through its tables, never by
-an ``isinstance`` test on a tower type.
+an ``isinstance`` test on a tower type.  Only ``natural`` reads an exponent
+as a monomial: it alone defines the ``_exp_*`` operations, and neither
+``surrational`` nor ``cuts`` builds an ordinal itself.
 """
 
 import ast
@@ -145,3 +147,22 @@ def test_expr_dispatches_on_the_tower_by_table():
                 if isinstance(n, ast.Name) and n.id in _TOWER_TYPES
             ]
     assert named == []
+
+
+def test_monomial_operations_live_in_natural():
+    # one algorithm per monomial operation on exponents, in natural.py
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_exp_")
+    ]
+    assert defined and all(d.startswith("natural.") for d in defined), defined
+    for mod in ("surrational", "cuts"):
+        from_ordinal = {
+            alias.name
+            for node in ast.walk(_parse(SRC / f"{mod}.py"))
+            if isinstance(node, ast.ImportFrom) and node.module == "ordinal"
+            for alias in node.names
+        }
+        assert not from_ordinal & {"_make", "_finite"}, mod

@@ -28,12 +28,20 @@ from transfinita import (
     si_add,
     si_mul,
 )
-from transfinita.natural import _convolve_terms, _merge_terms
+from transfinita.natural import (
+    _convolve_terms,
+    _exp_diff,
+    _exp_min,
+    _exp_root,
+    _exp_sum,
+    _merge_terms,
+)
 from transfinita.ordinal import _FINITE_TABLE, _FINITE_TABLE_SIZE, _finite, _make, validate
 from transfinita.surinteger import validate as validate_si
 
 from conftest import _merge_surinteger, o, ordinals, polynomials
 from random_values import random_ordinal_below
+from test_surrational import _ref_exp_diff
 
 
 def closure_counterexample(kind: ClosureKind, a: Ordinal, rng, tries: int = 40):
@@ -295,6 +303,69 @@ class TestConvolutionKernel:
         assert big == Ordinal(2**64) and 2**64 not in _FINITE_TABLE
         assert nat_mul(_make(((big, 1),)), OMEGA) == _make(((Ordinal(2**64 + 1), 1),))
         assert len(_FINITE_TABLE) <= _FINITE_TABLE_SIZE
+
+
+# Reference: the monomial gcd as it stood in surrational, on dicts, and the
+# exponent division that cuts._si_nth_root did inline.
+
+
+def _ref_exp_min(x: Ordinal, y: Ordinal) -> Ordinal:
+    # componentwise min of two exponents read as monomials in the x_z:
+    # w^(w^z*k + ...) is x_z^k * ...; x's order is already decreasing
+    dy = dict(y)
+    return _make(tuple((e, min(k, dy[e])) for e, k in x if e in dy))
+
+
+def _ref_exp_root(x: Ordinal, n: int):
+    if any(k % n for _, k in x):
+        return None
+    return _make(tuple((e, k // n) for e, k in x))
+
+
+# zero, finite and transfinite exponents mixed, as the kernel sees them
+_MONOMIALS = st.one_of(_KERNEL_EXPONENTS, ordinals())
+
+
+def _scaled(x: Ordinal, n: int) -> Ordinal:
+    # x with every coefficient times n: the n-th power of the monomial x
+    return _make(tuple((e, k * n) for e, k in x))
+
+
+def _checked(e):
+    # a result of a monomial operation: an Ordinal in normal form
+    assert type(e) is Ordinal
+    validate(e)
+    return e
+
+
+class TestMonomialOps:
+    @given(_MONOMIALS, _MONOMIALS, _MONOMIALS)
+    @example(Ordinal(3), Ordinal(5), ZERO)  # two finite exponents
+    @example(ZERO, o("w + 2"), ONE)  # a zero side
+    @example(o("w^2*3 + w + 4"), o("w^2 + 6"), o("w*2"))
+    def test_gcd_matches_reference(self, x, y, z):
+        # and on exponents that share the factor z, so the min is not empty
+        for a, b in ((x, y), (y, x), (_exp_sum(x, z), _exp_sum(y, z))):
+            assert _checked(_exp_min(a, b)) == _ref_exp_min(a, b)
+
+    @given(_MONOMIALS, _MONOMIALS)
+    @example(Ordinal(3), Ordinal(5))  # finite, and a component too large
+    @example(ZERO, ZERO)
+    @example(o("w^2 + 1"), o("w + 1"))
+    def test_quotient_matches_reference_and_inverts_the_sum(self, x, y):
+        assert _checked(_exp_diff(_exp_sum(x, y), y)) == x
+        for a, b in ((x, y), (y, x), (_exp_sum(x, y), x)):
+            got, ref = _exp_diff(a, b), _ref_exp_diff(a, b)
+            assert got == ref if ref is None else _checked(got) == ref
+
+    @given(_MONOMIALS, st.integers(2, 7))
+    @example(ZERO, 2)
+    @example(Ordinal(6), 4)  # a finite exponent that does not divide
+    @example(o("w^2*4 + w*2 + 6"), 2)
+    def test_root_matches_reference_and_inverts_the_power(self, x, n):
+        assert _checked(_exp_root(_scaled(x, n), n)) == x
+        got, ref = _exp_root(x, n), _ref_exp_root(x, n)
+        assert got == ref if ref is None else _checked(got) == ref
 
 
 class TestNextClosure:

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from functools import cmp_to_key
 
 import hypothesis.strategies as st
@@ -30,9 +31,10 @@ from transfinita import (
     rec_sum,
     successor,
 )
-from transfinita.ordinal import _binary_pow, _make, ordinal_str, predecessor, validate
+from transfinita.ordinal import _binary_pow, _dec_exp, _make, ordinal_str, predecessor, validate
 
 from conftest import o, ordinals
+from random_values import random_ordinal
 
 
 class TestCompare:
@@ -252,6 +254,37 @@ class TestRecMul:
     def test_left_distributive(self, a, b, c):
         assert rec_mul(a, rec_add(b, c)) == rec_add(rec_mul(a, b), rec_mul(a, c))
 
+    @given(st.integers(0, 2**32), st.integers(1, 3))
+    @example(0, 1)
+    def test_same_as_the_fold(self, seed, depth):
+        rng = random.Random(seed)
+        for _ in range(20):
+            a, b = random_ordinal(rng, depth, 4), random_ordinal(rng, depth, 4)
+            got = rec_mul(a, b)
+            assert got == _ref_rec_mul(a, b)
+            validate(got)
+
+    def test_power_of_a_successor_in_closed_form(self):
+        # (w+1)^n = w^n + ... + w + 1: n + 1 terms, quadratic under the fold
+        n = 10_000
+        expected = _make(tuple((Ordinal(k), 1) for k in range(n, -1, -1)))
+        assert rec_pow(o("w + 1"), Ordinal(n)) == expected
+
+
+def _ref_rec_mul(a, b):
+    # rec_mul as a left fold of rec_add over the parts, one per term of b
+    if not a or not b:
+        return ZERO
+    za, ca = a[0]
+    out = ZERO
+    for e, c in b:
+        if e:
+            part = _make(((rec_add(za, e), c),))
+        else:
+            part = _make(((za, ca * c),) + a[1:])
+        out = rec_add(out, part)
+    return out
+
 
 class TestRecPow:
     def test_two_to_omega(self):
@@ -295,6 +328,23 @@ class TestRecPow:
         a = _make(((z, 1),))
         assert rec_pow(a, b) == _make(((rec_mul(z, b), 1),))
         assert rec_pow(a, b) == _ref_transfinite_base_pow(a, b)
+
+    @given(st.integers(2, 9), ordinals(depth=3).filter(lambda b: not b.is_finite))
+    @example(2, o("w^(w + 1)*2 + w^3 + w*4 + 5"))
+    def test_finite_base(self, m, b):
+        assert rec_pow(Ordinal(m), b) == _ref_finite_base_pow(m, b)
+
+
+def _ref_finite_base_pow(m, b):
+    # rec_pow's case split for a finite base m >= 2 and a transfinite b, the
+    # leading exponent folded term by term through rec_add
+    head_exp = ZERO
+    for e, k in b:
+        if e:
+            head_exp = rec_add(head_exp, _make(((_dec_exp(e), k),)))
+    head = _make(((head_exp, 1),))
+    finite_part = b[-1][1] if not b[-1][0] else 0
+    return rec_mul(head, Ordinal(m**finite_part)) if finite_part else head
 
 
 def _ref_transfinite_base_pow(a, b):
