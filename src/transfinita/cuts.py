@@ -8,14 +8,12 @@ Membership is a single exact surinteger inequality, so it is decidable even
 though the cut itself is an infinite set.
 
 Root cuts classify as surrational (an exact n-th root exists, returned as a
-witness) or irrational.  The decision is structural: integer radicands use
-exact integer roots, monomial radicands the monomial root of the exponent
-(``natural._exp_root``) and the root of the coefficient.  Any other radicand
-is tested exactly for a finite root ``i/j`` with ``i, j`` up to a search
-bound: ``(i/j)^n == num/den`` holds only when numerator and denominator have
-the same exponents and proportional coefficients whose ratio, in lowest
-terms, is a pair of perfect n-th powers.  Past the bound, or for any other
-shape, the answer is ``inconclusive`` rather than a guess.
+witness) or irrational.  The decision is structural, on the radicand that
+``surrational.reduce`` leaves: integer sides use exact integer roots,
+monomial sides the monomial root of the exponent (``natural._exp_root``)
+and the root of the coefficient.  ``reduce`` turns proportional sides into
+their integer ratio, so the answer is ``inconclusive`` exactly when a side
+keeps more than one term; it is never a guess.
 
 The Gaussian extension is the plain pair construction with the textbook
 formulas; over an ordered field they make every nonzero element invertible.
@@ -24,7 +22,7 @@ formulas; over an ordered field they make every nonzero element invertible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from typing import Optional
 
 from .errors import DivisionByZero, OutOfField, Undefined
@@ -51,11 +49,6 @@ from .surrational import (
     q_sub,
     reduce as q_reduce,
 )
-
-# largest numerator and denominator of the finite roots i/j that
-# classify_root_cut tests for radicands the structural analysis leaves open
-ROOT_SEARCH_BOUND = 24
-
 
 @dataclass(frozen=True)
 class RationalCut:
@@ -163,48 +156,20 @@ def classify_root_cut(cut: RootCut) -> RootClassification:
     """Decide whether the root cut sits at an exact n-th root.
 
     A returned witness p always satisfies ``p^n == q`` up to value equality.
-    An ``irrational`` verdict comes from the structural leading-term
-    analysis.  Radicands it does not cover get the exact test of
-    :func:`_finite_root` for a root ``i/j`` with ``i, j <= ROOT_SEARCH_BOUND``,
-    and ``inconclusive`` means there is no such root.
+    Both verdicts come from the leading-term analysis of the reduced
+    radicand's two sides, which decides integers and monomials with no
+    bound; a side with more than one term leaves the cut ``inconclusive``.
     """
     q = q_reduce(cut.q)
     rn, dec_n = _si_nth_root(q.num, cut.n)
     rd, dec_d = _si_nth_root(q.den, cut.n)
-    if dec_n and dec_d:
-        if rn is None or rd is None:
-            return RootClassification("irrational")
-        witness = SurRational(rn, rd)
-    else:
-        witness = _finite_root(q, cut.n)
-        if witness is None:
-            return RootClassification("inconclusive")
+    if not (dec_n and dec_d):
+        return RootClassification("inconclusive")
+    if rn is None or rd is None:
+        return RootClassification("irrational")
+    witness = SurRational(rn, rd)
     assert q_eq(_q_pow(witness, cut.n), q)
     return RootClassification("surrational", witness)
-
-
-def _finite_root(q: SurRational, n: int) -> Optional[SurRational]:
-    """The root ``i/j`` of ``q`` with ``i, j <= ROOT_SEARCH_BOUND`` and the
-    least i, or None.
-
-    ``(i/j)^n == num/den`` means ``j^n*num == i^n*den``: both sides scale one
-    side's terms by a positive integer, so num and den share their exponents
-    and their coefficients have one ratio ``a/b`` (positive, as q > 0).  In
-    lowest terms ``a == i0^n`` and ``b == j0^n`` for ``i0/j0`` in lowest
-    terms, and every solution is a multiple ``(k*i0, k*j0)``.  So the bound
-    is checked on the extracted roots (1 when n passes a's and b's bits).
-    """
-    tn, td = q.num.terms, q.den.terms
-    if len(tn) != len(td):
-        return None
-    g = gcd(tn[0][1], td[0][1])
-    a, b = tn[0][1] // g, td[0][1] // g
-    if any(en != ed or cn * b != cd * a for (en, cn), (ed, cd) in zip(tn, td)):
-        return None
-    i, j = _int_nth_root(a, n), _int_nth_root(b, n)
-    if max(i, j) > ROOT_SEARCH_BOUND or i**n != a or j**n != b:
-        return None
-    return SurRational(SurInteger(i), SurInteger(j))
 
 
 def _q_pow(p: SurRational, n: int) -> SurRational:

@@ -229,21 +229,15 @@ def next_closure(kind: ClosureKind, a: Ordinal) -> Ordinal:
     """
     if not is_closure_number(kind, a):
         raise Undefined(f"{a!r} is not a {kind.value} closure number")
-    if kind in (ClosureKind.GAMMA_ADD, ClosureKind.NAT_ADD):
-        if a.is_zero:
-            return ONE
-        return rec_mul(a, OMEGA)
-    if kind in (ClosureKind.DELTA_MUL, ClosureKind.NAT_MUL):
-        if a.is_zero:
-            return ONE
-        if a == ONE:
-            return Ordinal(2)
-        return rec_pow(a, OMEGA)
-    # exponentiation closure: the class below the boundary is {0, 1, 2, w}
     if a.is_zero:
         return ONE
+    if kind in (ClosureKind.GAMMA_ADD, ClosureKind.NAT_ADD):
+        return rec_mul(a, OMEGA)
     if a == ONE:
         return Ordinal(2)
+    if kind in (ClosureKind.DELTA_MUL, ClosureKind.NAT_MUL):
+        return rec_pow(a, OMEGA)
+    # exponentiation closure: the class below the boundary is {0, 1, 2, w}
     if a.is_finite:  # a == 2
         return OMEGA
     raise NotRepresentable("the next exponentiation closure point exceeds the notation")

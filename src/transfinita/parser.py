@@ -9,12 +9,13 @@ instructions of its phrase.
 Constants fold as they are parsed (``_Parser.emit_op``): a natural ``+``
 or ``*`` of two ``const`` instructions, or ``w ^`` one, becomes one
 ``const`` with the left operand's span, so a written-out normal form such
-as ``w^(w^2)*3 + 5`` is one instruction.  These never raise: they read no
-budget, and a parseable line nests powers of ``w`` at most ``MAX_NESTING``
-deep, below ``ordinal.MAX_DEPTH``.  Nothing else folds: the ``--oracle``
-check reads ``+.`` and ``*.`` from the last instruction, ``-.``, ``-``,
-``/`` and unary minus can raise or leave the ordinals, and other powers,
-``^^``, ``H`` and calls read the evaluation context.
+as ``w^(w^2)*3 + 5`` is one instruction.  ``w ^ y`` is built directly as
+the one term ``w^y``.  These never raise: they read no budget, and a
+parseable line nests powers of ``w`` at most ``MAX_NESTING`` deep, below
+``ordinal.MAX_DEPTH``, so no depth check is needed.  Nothing else folds:
+the ``--oracle`` check reads ``+.`` and ``*.`` from the last instruction,
+``-.``, ``-``, ``/`` and unary minus can raise or leave the ordinals, and
+other powers, ``^^``, ``H`` and calls read the evaluation context.
 
 Grammar (EBNF; the README carries the same table):
 
@@ -50,7 +51,7 @@ import re
 from dataclasses import dataclass
 
 from .natural import nat_add, nat_mul
-from .ordinal import OMEGA, _finite, rec_pow
+from .ordinal import OMEGA, _finite, _make
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ class _Parser:
             elif op == "*":
                 v = nat_mul(x[2], y[2])
             elif op == "^" and x[2] == OMEGA:
-                v = rec_pow(OMEGA, y[2])
+                v = _make(((y[2], 1),))  # w^y, one term
             else:
                 v = None
             if v is not None:

@@ -177,7 +177,8 @@ def si_compare(a: SurInteger, b: SurInteger) -> int:
 
 
 def si_abs(a: SurInteger) -> SurInteger:
-    return a if si_compare(a, S_ZERO) >= 0 else neg(a)
+    # the sign of a surinteger is its leading coefficient's
+    return neg(a) if a.terms and a.terms[0][1] < 0 else a
 
 
 def si_pow(a: SurInteger, n: int) -> SurInteger:
@@ -200,10 +201,12 @@ def check_lambda(lam: Ordinal) -> None:
 
 
 def in_lambda_ring(a: SurInteger, lam: Ordinal) -> bool:
-    """Membership in the ring truncated at ``lam``: both coordinates below it."""
+    """Membership in the ring truncated at ``lam``: both coordinates below it.
+
+    A valid ``lam`` is one term ``w^E`` with coefficient 1, so that holds
+    exactly when the leading exponent of ``a`` is below E."""
     check_lambda(lam)
-    c = to_coordinates(a)
-    return c.negative < lam and c.positive < lam
+    return not a.terms or a.terms[0][0] < lam[0][0]
 
 
 def cyclic_decompose(a: SurInteger):

@@ -6,7 +6,8 @@ decided by cross-multiplication in the surinteger ring, which is exact and
 total.  Reduction is best-effort only.  The ring is Z[x_z], polynomials in
 one variable x_z = w^(w^z) per exponent z, so gcds exist, but :func:`reduce`
 does not compute one: it divides out what it can find (integer content, a
-shared monomial, one side dividing the other), and the ``reduced`` flag
+shared monomial, one side dividing the other, or two proportional sides,
+whose value is their integer ratio), and the ``reduced`` flag
 records that this ran, not that the pair is coprime.  So equal values can
 print different text.  Exponents are monomials in the x_z, and their gcd and
 quotient are ``natural._exp_min`` and ``_exp_diff``.
@@ -17,6 +18,8 @@ bounding multiple there and reports NoWitness against, say, (1, omega).
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .errors import NO_WITNESS, NOT_DIVISIBLE, DivisionByZero, Undefined
 from .natural import _exp_diff, _exp_min
@@ -55,7 +58,7 @@ class SurRational:
             den = SurInteger(den)
         if den.is_zero:
             raise DivisionByZero("zero denominator")
-        if si_compare(den, S_ZERO) == LT:
+        if den.terms[0][1] < 0:  # the leading coefficient carries the sign
             num, den = neg(num), neg(den)
         self.num = num
         self.den = den
@@ -164,7 +167,8 @@ def exact_divide(a: SurInteger, b: SurInteger):
     """Exact quotient c with ``b * c == a`` by leading-term long division.
 
     Returns the NotDivisible sentinel when the division leaves a remainder
-    at any step (no exponent match or a coefficient that does not divide).
+    at any step (no exponent match, a coefficient that does not divide, or
+    a quotient term below the one the last terms of a and b fix).
     Exponent "division" is coefficientwise natural subtraction, which is
     exactly what inverts the natural sum of exponents.
     """
@@ -172,13 +176,19 @@ def exact_divide(a: SurInteger, b: SurInteger):
         raise DivisionByZero("exact division by zero")
     if a.is_zero:
         return S_ZERO
+    # natural sum is strictly monotone, so the last terms of b and c multiply
+    # to the last term of b*c alone, and no term of c lies below ``low``
+    (ea, ca), (el, cl) = a.terms[-1], b.terms[-1]
+    low = _exp_diff(ea, el)
+    if low is None or ca % cl:
+        return NOT_DIVISIBLE
     eb, cb = b.terms[0]
     quot = []
     r = a
     while r.terms:
         er, cr = r.terms[0]
         eq = _exp_diff(er, eb)
-        if eq is None or cr % cb:
+        if eq is None or eq < low or cr % cb:
             return NOT_DIVISIBLE
         cq = cr // cb
         quot.append((eq, cq))
@@ -189,7 +199,9 @@ def exact_divide(a: SurInteger, b: SurInteger):
 
 def reduce(p: SurRational) -> SurRational:
     """Best-effort canonical form: shared content, shared monomial, then one
-    side exactly dividing the other.  Always value-equal to the input."""
+    side exactly dividing the other, then proportional sides, whose value is
+    the ratio of their leading coefficients.  Always value-equal to the
+    input."""
     base = _light_reduce(p.num, p.den)
     num, den = base.num, base.den
     if num.is_zero:
@@ -200,6 +212,10 @@ def reduce(p: SurRational) -> SurRational:
     c = exact_divide(den, num)
     if isinstance(c, SurInteger):
         return SurRational(S_ONE, c, reduced=True)
+    a, b = num.terms[0][1], den.terms[0][1]
+    if si_scale(den, a) == si_scale(num, b):
+        g = gcd(a, b)
+        return SurRational(a // g, b // g, reduced=True)
     return SurRational(num, den, reduced=True)
 
 

@@ -337,8 +337,10 @@ class TestBatch:
 
     def test_root_degrees_larger_than_the_radicand(self, tmp_path, capsys):
         # at n = 10^18 the first line was an internal MemoryError from
-        # building 2**(n-1), and the second did not end: it built
-        # ROOT_SEARCH_BOUND**n.  The last two sit on either side of that bound.
+        # building 2**(n-1), and the second did not end: it built 24**n
+        # for a bounded search of roots i/j.  Proportional radicands reduce
+        # to their integer ratio, so the last three are decided exactly, on
+        # either side of that old bound of 24.
         n = 10**18
         recs = self.batch(
             tmp_path, capsys,
@@ -347,7 +349,7 @@ class TestBatch:
             "classify(sqrt[2]((w*576 + 576)/(w*25 + 25)))",
         )
         assert [r["canonical"] for r in recs] == [
-            "Irrational", "Inconclusive", "Inconclusive", "Surrational(24 / 5)",
+            "Irrational", "Irrational", "Surrational(25 / 2)", "Surrational(24 / 5)",
         ]
 
     def test_impossible_root_cuts_are_undefined(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Cut predicates over truncated fields and the Gaussian extension."""
 
 import random
+from math import gcd
 
 import pytest
 import hypothesis.strategies as st
@@ -34,8 +35,15 @@ from transfinita import (
     q_mul,
 )
 from transfinita.cuts import _int_nth_root, _q_pow, _si_nth_root, check_root
-from transfinita.surinteger import SurInteger, si_add, si_scale
-from transfinita.surrational import Q_ZERO, SurRational, midpoint, q_from_int, reduce
+from transfinita.surinteger import S_ONE, S_ZERO, SurInteger, si_add, si_scale
+from transfinita.surrational import (
+    Q_ZERO,
+    SurRational,
+    _light_reduce,
+    exact_divide,
+    midpoint,
+    q_from_int,
+)
 
 from conftest import o, q, si, surrationals
 from random_values import random_surrational
@@ -172,10 +180,26 @@ class TestRootClassification:
             assert q_eq(q_mul(out.witness, out.witness), sq)
 
 
+def _ref_reduce(p):
+    """``reduce`` before it turned proportional sides into their integer
+    ratio: the radicand the trial search ran on."""
+    base = _light_reduce(p.num, p.den)
+    num, den = base.num, base.den
+    if num.is_zero:
+        return SurRational(S_ZERO, S_ONE, reduced=True)
+    c = exact_divide(num, den)
+    if isinstance(c, SurInteger):
+        return SurRational(c, S_ONE, reduced=True)
+    c = exact_divide(den, num)
+    if isinstance(c, SurInteger):
+        return SurRational(S_ONE, c, reduced=True)
+    return SurRational(num, den, reduced=True)
+
+
 def _trial_classify(cut, search_bound=24):
     """Reference: the structural analysis, then every i/j with i, j up to the
     bound in i-major order, the search the exact test replaced."""
-    qr = reduce(cut.q)
+    qr = _ref_reduce(cut.q)
     rn, dec_n = _si_nth_root(qr.num, cut.n)
     rd, dec_d = _si_nth_root(qr.den, cut.n)
     if dec_n and dec_d:
@@ -194,33 +218,45 @@ class TestExactRootTest:
     POLYS = ("w^2*3 - w*2 + 5", "w + 1", "w^(w)*2 + w^3 - 7", "w^2 - w*4 + 4")
 
     def _cases(self):
+        """(radicand, n, ratio): ratio is (a, b) when the radicand is
+        a*p / (b*p) for a multi-term p, else None."""
         for n in (2, 3, 5):
             for k, text in enumerate(self.POLYS):
                 p = si(text)
-                # proportional: roots on either side of the bound, and ratios
-                # that are not perfect powers
-                for i, j in ((2, 3), (1, 24), (24, 7), (25, 1), (3, 25), (6, 4)):
-                    yield SurRational(si_scale(p, i**n), si_scale(p, j**n)), n
-                yield SurRational(si_scale(p, 2 * 3**n), si_scale(p, 5**n)), n
-                # 400+ digit ratios: past the bound, whether a power or not
-                yield SurRational(si_scale(p, 10**400 + 1), si_scale(p, 3)), n
-                yield SurRational(si_scale(p, 7**(480 * n)), p), n
+                # proportional: roots on either side of the old bound of 24,
+                # a ratio that is not a perfect power, and 400+ digit ratios
+                # past that bound, whether a power or not
+                roots = ((2, 3), (1, 24), (24, 7), (25, 1), (3, 25), (6, 4))
+                ratios = [(i**n, j**n) for i, j in roots]
+                ratios += [(2 * 3**n, 5**n), (10**400 + 1, 3), (7**(480 * n), 1)]
+                for a, b in ratios:
+                    yield SurRational(si_scale(p, a), si_scale(p, b)), n, (a, b)
                 # not proportional: other exponents or other coefficients
                 other = si(self.POLYS[(k + 1) % len(self.POLYS)])
-                yield SurRational(si_scale(p, 4**n), other), n
-                yield SurRational(si_scale(p, 4), si_add(p, SurInteger(1))), n
+                yield SurRational(si_scale(p, 4**n), other), n, None
+                yield SurRational(si_scale(p, 4), si_add(p, SurInteger(1))), n, None
 
     def test_matches_trial_search(self):
+        # where the trial search decides, the verdict and witness stay; where
+        # it gave up on a proportional radicand, the verdict is now exact
         seen = set()
-        for rad, n in self._cases():
+        for rad, n, ratio in self._cases():
             cut = RootCut(rad, n, WW)
             got = classify_root_cut(cut)
             kind, witness = _trial_classify(cut)
+            if kind == "inconclusive" and ratio is not None:
+                g = gcd(*ratio)
+                a, b = ratio[0] // g, ratio[1] // g
+                ra, rb = _int_nth_root(a, n), _int_nth_root(b, n)
+                if ra**n == a and rb**n == b:
+                    kind, witness = "surrational", SurRational(SurInteger(ra), SurInteger(rb))
+                else:
+                    kind = "irrational"
             assert got.kind == kind
             if witness is not None:
                 assert (got.witness.num, got.witness.den) == (witness.num, witness.den)
             seen.add(kind)
-        assert seen == {"surrational", "inconclusive"}
+        assert seen == {"surrational", "irrational", "inconclusive"}
 
     def test_integer_roots_past_float_range(self):
         for n in (2, 3, 5, 7):

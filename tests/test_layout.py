@@ -114,17 +114,21 @@ def test_every_public_member_is_read():
 
 def test_parser_imports_only_ordinal_and_natural():
     # The parser folds constants, so it must reach no operation that reads a
-    # budget or the evaluation context.  The package imports itself by
-    # relative imports only, so an absolute one counts as a breach too.
-    reached = set()
+    # budget or the evaluation context, and it builds its powers of w
+    # itself, so it needs no recursive operation at all.  The package
+    # imports itself by relative imports only, so an absolute one counts as
+    # a breach too.
+    reached, names = set(), set()
     for node in ast.walk(_parse(SRC / "parser.py")):
         if isinstance(node, ast.ImportFrom):
             name = node.module or ""
             if node.level or name.startswith("transfinita"):
                 reached.add(name)
+                names |= {a.name for a in node.names}
         elif isinstance(node, ast.Import):
             reached |= {a.name for a in node.names if a.name.startswith("transfinita")}
     assert reached <= {"ordinal", "natural"}
+    assert not {n for n in names if n.startswith("rec_")}
 
 
 _TOWER_TYPES = {"Ordinal", "SurInteger", "SurRational", "GaussianSurRational"}

@@ -188,6 +188,13 @@ class TestLambdaRings:
         assert in_lambda_ring(si("w*3 - 2"), o("w^w"))
         assert not in_lambda_ring(SurInteger.from_ordinal(OMEGA), OMEGA)
         assert in_lambda_ring(SurInteger(-7), OMEGA)
+        assert not in_lambda_ring(si("w^w - 1"), o("w^w"))
+
+    @given(surintegers(depth=3))
+    def test_membership_is_both_coordinates_below(self, a):
+        c = to_coordinates(a)
+        for lam in (OMEGA, o("w^w"), o("w^(w^2)"), o("w^(w^w)")):
+            assert in_lambda_ring(a, lam) == (c.negative < lam and c.positive < lam)
 
     def test_invalid_truncation_points(self):
         with pytest.raises(InvalidLambda):

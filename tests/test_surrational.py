@@ -1,5 +1,6 @@
 """The ordered field of surinteger fractions."""
 
+import time
 from math import gcd
 
 import pytest
@@ -14,12 +15,14 @@ from transfinita import (
     NOT_DIVISIBLE,
     OMEGA,
     DivisionByZero,
+    EvalError,
     InvalidLambda,
     SurInteger,
     Ordinal,
     SurRational,
     Undefined,
     archimedean_witness,
+    evaluate,
     exact_divide,
     in_lambda_field,
     midpoint,
@@ -29,12 +32,13 @@ from transfinita import (
     q_inv,
     q_mul,
     q_neg,
+    parse,
     reduce,
     si_add,
     si_mul,
 )
 from transfinita.ordinal import _make as _make_ordinal
-from transfinita.surinteger import S_ONE, S_ZERO, _make as _make_si, content, si_sub
+from transfinita.surinteger import S_ONE, S_ZERO, _make as _make_si, content, si_scale, si_sub
 from transfinita.surrational import Q_ONE, Q_ZERO, _light_reduce, q_from_int, q_sub
 
 from conftest import FINITE_EXPONENTS, o, ordinals, polynomials, q, si, surintegers, surrationals
@@ -270,6 +274,21 @@ class TestReduce:
     def test_value_preserved(self, p):
         assert q_eq(reduce(p), p)
 
+    @given(
+        surintegers(),
+        st.integers(-(2**80), 2**80).filter(bool),
+        st.integers(-(2**80), 2**80).filter(bool),
+    )
+    @example(si("w + 1"), 625, 4)
+    @example(si("w^w*3 - w^2 + 7"), -6, 4)
+    def test_proportional_sides_reduce_to_their_ratio(self, p, a, b):
+        if p.is_zero:
+            return
+        g = gcd(a, b)
+        want = SurRational(a // g, b // g)
+        r = reduce(SurRational(si_scale(p, a), si_scale(p, b)))
+        assert (r.num, r.den, r.reduced) == (want.num, want.den, True)
+
 
 class TestMonomialOps:
     @given(_wide(), _wide(), _monomials(), _monomials(), _monomials())
@@ -340,6 +359,23 @@ class TestExactDivide:
     @given(surintegers())
     def test_one_divides_everything(self, a):
         assert exact_divide(a, SurInteger(1)) == a
+
+    def test_a_quotient_below_the_last_terms_stops_at_once(self):
+        # every quotient term lies at or above w^k, the quotient of the last
+        # terms, so the division stops at its first term, w^(k-1), instead
+        # of emitting k of them
+        start = time.perf_counter()
+        with pytest.raises(EvalError) as err:
+            evaluate(parse("(w^1000000) / (w - 1) +. 1"))
+        assert time.perf_counter() - start < 2
+        assert isinstance(err.value.origin, Undefined)
+        assert "is not an ordinal" in str(err.value)
+        # and it agrees with the reference on the divisible neighbours
+        for k in (1, 2, 50, 1000):
+            for a in (si(f"w^{k}"), si(f"w^{k} - 1"), si(f"w^{k}*2 - w*2")):
+                for b in (si("w - 1"), si("w*2 + 3"), si("w^2 - w"), si("w*2")):
+                    got, ref = exact_divide(a, b), _ref_exact_divide(a, b)
+                    assert got is ref if ref is NOT_DIVISIBLE else got.terms == ref.terms
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(DivisionByZero):
