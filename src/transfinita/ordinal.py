@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import log10
 from typing import Sequence
 
 from .errors import DivisionByZero, ResourceExceeded, Undefined
@@ -238,16 +239,47 @@ def rec_mul(a: Ordinal, b: Ordinal) -> Ordinal:
     return _make(tuple(out))
 
 
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of an int n >= 1, without ``str(n)``."""
+    # at most the digit count of 2^(bits - 1) <= n, as 0.30102999566398 is
+    # below log10(2); then raised to n's, one or two steps in practice
+    d = (n.bit_length() - 1) * 30102999566398 // 10**14 + 1
+    while n >= 10**d:
+        d += 1
+    return d
+
+
 def _check_pow_digits(base: int, exp: int, max_digits: int) -> None:
-    """Raise ResourceExceeded if base**exp (base, exp >= 0) may pass max_digits."""
-    # bits(result) = exp*log2(base) <= exp*bit_length(base); digits ~ bits*0.30103
-    est_digits = exp * base.bit_length() * 30103 // 100000 + 1
-    if base > 1 and exp > 1 and est_digits > max_digits:
-        # the estimate itself can be astronomical: report only its size
-        raise ResourceExceeded(
-            f"finite power needs a number with more than 10^{est_digits.bit_length() // 4} "
-            f"digits, budget is 10^{len(str(max_digits)) - 1}-ish ({max_digits})"
-        )
+    """Raise ResourceExceeded if base**exp (base, exp >= 0) has more than
+    max_digits decimal digits.
+
+    base**exp has floor(F) + 1 digits, F = exp * log10(base), so it fits
+    exactly when F < max_digits.  Integer bounds on F decide all but a
+    narrow band around max_digits, where the power is computed; exp is
+    never converted to a float, since it can be astronomical (6 ^^ 6).  The
+    message names the power of ten that the digit count exceeds."""
+    if base < 2 or exp < 2:
+        return
+    b = base.bit_length()
+    if exp * b * 30103 < max_digits * 100000:  # log10(base) < b * 0.30103
+        return
+    t = _decimal_digits(base) - 1
+    if base == 10**t:
+        lo = hi = exp * t
+    else:
+        # log10 of an int is within a few units in the last place; widen
+        # it by 2^-40 relative, and bound exp * log10(base) in integers
+        num, den = log10(base).as_integer_ratio()
+        lo = exp * num * (2**40 - 1) // (den << 40)
+        hi = -(-exp * num * (2**40 + 1) // (den << 40))
+    if hi < max_digits or (lo < max_digits and base**exp < 10**max_digits):
+        return
+    # 10^k <= max(lo, max_digits) <= F < digits
+    k = _decimal_digits(max(lo, max_digits)) - 1
+    raise ResourceExceeded(
+        f"finite power needs a number with more than 10^{k} "
+        f"digits, budget is 10^{len(str(max_digits)) - 1}-ish ({max_digits})"
+    )
 
 
 def _int_log_floor(c: int, m: int) -> int:

@@ -3,19 +3,22 @@
 ``parse`` emits postfix code rather than a tree: a list of ``(tag, span,
 arg)`` instructions in which every operand comes before its operation, so
 that ``expr.run`` evaluates it in one loop over a value stack (the
-``expr`` docstring lists the tags).  Each grammar method appends the
-instructions of its phrase.
+``expr`` docstring lists the tags).
 
-Constants fold as they are parsed (``_Parser.emit_op``): a natural ``+``
-or ``*`` of two ``const`` instructions, or ``w ^`` one, becomes one
-``const`` with the left operand's span, so a written-out normal form such
-as ``w^(w^2)*3 + 5`` is one instruction.  ``w ^ y`` is built directly as
-the one term ``w^y``.  These never raise: they read no budget, and a
-parseable line nests powers of ``w`` at most ``MAX_NESTING`` deep, below
-``ordinal.MAX_DEPTH``, so no depth check is needed.  Nothing else folds:
-the ``--oracle`` check reads ``+.`` and ``*.`` from the last instruction,
-``-.``, ``-``, ``/`` and unary minus can raise or leave the ordinals, and
-other powers, ``^^``, ``H`` and calls read the evaluation context.
+Constants fold as they are parsed.  Each grammar method returns the value
+of a constant phrase instead of emitting it, so a natural ``+`` or ``*``
+of two constants, or ``w ^`` one, is one value, and a written-out normal
+form such as ``w^(w^2)*3 + 5`` is one ``const`` instruction.  ``w ^ y`` is
+built directly as the one term ``w^y``, ``x * k`` with a finite ``k``
+scales x's coefficients, and ``x + y`` concatenates the terms when x's last
+exponent lies above y's first.  A constant is emitted only as the operand
+of an instruction, with the span of its first literal.  These folds never
+raise: they read no budget, and a parseable line nests powers of ``w`` at
+most ``MAX_NESTING`` deep, below ``ordinal.MAX_DEPTH``, so no depth check
+is needed.  Nothing else folds: the ``--oracle`` check reads ``+.`` and
+``*.`` from the last instruction, ``-.``, ``-``, ``/`` and unary minus can
+raise or leave the ordinals, and other powers, ``^^``, ``H`` and calls read
+the evaluation context.
 
 Grammar (EBNF; the README carries the same table):
 
@@ -34,8 +37,10 @@ Grammar (EBNF; the README carries the same table):
 
 Lexical rules: NUMBER is a run of Unicode decimal digits (``str.isdecimal``);
 an identifier is a letter (``str.isalpha``) or ``_``, then letters, digits or
-``_`` (``str.isalnum``); whitespace separates tokens, and a newline advances
-the line and restarts the column.
+``_`` (``str.isalnum``); whitespace (``str.isspace``) separates tokens.
+Tokens carry character offsets; only the spans of the instructions that
+survive folding, and of a diagnostic, become a line and a column, where
+a newline advances the line and restarts the column.
 
 Every malformed input raises :class:`ParseError` carrying a
 :class:`Diagnostic` with line, column and the expected-token set; the parser
@@ -49,6 +54,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 
 from .natural import nat_add, nat_mul
 from .ordinal import OMEGA, _finite, _make
@@ -72,44 +79,73 @@ class ParseError(Exception):
         super().__init__(str(diagnostic))
 
 
-# One match per token.  Blanks before a token are skipped: every blank but
-# "\n", which counts lines.  Every other character is a number, a name, an
-# operator, or unexpected (the last group), so the match never backtracks
-# into the blanks and the end of the text always ends the scan.  "\w" also
-# admits numeric characters such as "²" and "½", so a name's first character
-# is checked with str.isalpha.
-_TOKEN = re.compile(
-    r"[^\S\n]*(?:(\d+)|([^\W\d]\w*)|(\+\.|-\.|\*\.|\^\^|[-+*/^()\[\],])|(\n)|(\Z)|(\S))"
+# One match per token, with the blanks after it; the blanks before the
+# first token are skipped by starting the scan past them.  "\s" is what
+# str.isspace, str.lstrip and str.rstrip call blank, newlines included, so
+# the matches tile the rest of the source and their lengths give each
+# token's offset.  Every non-blank character starts a match: a number, a
+# name, an operator, or an unexpected character (the last alternative).
+# "\w" also admits numeric characters such as "²" and "½", so a name's
+# first character is checked with str.isalpha.
+_TOKEN = re.compile(r"(?:\d+|[^\W\d]\w*|\+\.|-\.|\*\.|\^\^|[-+*/^()\[\],]|\S)\s*")
+
+# First characters that need no check: ASCII digits and letters, "_", and
+# the operators'.  Any other one is an unexpected character unless it is a
+# decimal digit or a letter.
+_PLAIN_FIRST = frozenset(
+    "0123456789_+-*/^()[],abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 )
-_KINDS = (None, "num", "ident", "op")
+_first = itemgetter(0)
+
+
+class _Tokens(list):
+    """The token texts, ending with the end token's ""; ``starts`` holds the
+    character offset of each, the end token's being the source length."""
+
+    __slots__ = ("starts",)
 
 
 def tokenize(source: str) -> list:
-    """``(kind, text, line, col)`` tuples, kind one of "num", "ident", "op",
-    ending with one ``("end", "", line, col)`` token."""
-    tokens = []
-    append = tokens.append
-    line, before = 1, -1  # before: index of the character before the line
-    for m in _TOKEN.finditer(source):
-        i = m.lastindex
-        if i < 4 and (i != 2 or m[2][0].isalpha() or m[2][0] == "_"):
-            append((_KINDS[i], m[i], line, m.start(i) - before))
-        elif i == 4:
-            line += 1
-            before = m.start(4)
-        elif i == 5:
-            break
-        else:  # an unexpected character, or a name that starts with one
-            raise ParseError(Diagnostic(
-                f"unexpected character {m[i][0]!r}", line, m.start(i) - before
-            ))
-    append(("end", "", line, len(source) - before))
+    """The texts of the tokens in ``source``, a number, a name or an
+    operator each, ending with one "" for the end of input.  The list's
+    ``starts`` attribute holds the character offset of each token."""
+    lead = len(source) - len(source.lstrip())
+    raw = _TOKEN.findall(source, lead)
+    tokens = _Tokens(map(str.rstrip, raw))
+    tokens.starts = starts = list(accumulate(map(len, raw), initial=lead))
+    odd = set(map(_first, tokens)).difference(_PLAIN_FIRST)
+    if odd:
+        for text, at in zip(tokens, starts):
+            c = text[0]
+            if c in odd and not (c.isdecimal() or c.isalpha() or c == "_"):
+                raise ParseError(Diagnostic(
+                    f"unexpected character {c!r}", *_positions(source, (at,))[at]
+                ))
+    tokens.append("")
     return tokens
+
+
+def _positions(source: str, offsets) -> dict:
+    """``{offset: (line, col)}`` for character offsets into ``source``,
+    counted from 1: a newline ends a line, and every other character counts
+    one column."""
+    out = {}
+    line, nl, last = 1, -1, 0  # nl: offset of the last "\n" before ``last``
+    for at in sorted(offsets):
+        k = source.count("\n", last, at)
+        if k:
+            line += k
+            nl = source.rfind("\n", last, at)
+        out[at] = (line, at - nl)
+        last = at
+    return out
 
 
 _SUM_OPS = frozenset(("+", "-", "+.", "-."))
 _PROD_OPS = frozenset(("*", "*.", "/"))
 _POW_OPS = frozenset(("^", "^^"))
+# Texts that are not names: the operators, and the end token's.
+_NOT_NAMES = _SUM_OPS | _PROD_OPS | _POW_OPS | frozenset(("(", ")", "[", "]", ",", ""))
 
 # Deepest nesting a line may have, counted as parse_unary calls open at
 # once: each parenthesis, argument list, unary minus and power right-hand
@@ -120,154 +156,202 @@ MAX_NESTING = 200
 
 
 class _Parser:
-    # Tokens are compared by text alone: an operator's text is never a
-    # name's or a number's, and the end token's is "".
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Each grammar method returns the value of its phrase when the phrase
+    is constant, and emits nothing for it; otherwise it emits the phrase's
+    instructions and returns None.  Instructions carry character offsets
+    until :func:`parse` turns them into lines and columns.  Tokens are read
+    by text alone: an operator's text is never a name's or a number's, and
+    the end token's is ""."""
+
+    def __init__(self, source, tokens):
+        self.source = source
+        self.texts = tokens
+        self.starts = tokens.starts
         self.pos = 0
         self.depth = 0
         self.code = []
-        self.emit = self.code.append
 
-    def emit_op(self, span, op: str) -> None:
-        # fold two constant operands of natural + and *, and of powers of
-        # w (see the module docstring for why these and no others)
-        code = self.code
-        x, y = code[-2], code[-1]  # the last instruction of each operand
-        if x[0] == "const" and y[0] == "const":
-            if op == "+":
-                v = nat_add(x[2], y[2])
-            elif op == "*":
-                v = nat_mul(x[2], y[2])
-            elif op == "^" and x[2] == OMEGA:
-                v = _make(((y[2], 1),))  # w^y, one term
-            else:
-                v = None
-            if v is not None:
-                code.pop()
-                code[-1] = ("const", x[1], v)
-                return
-        self.emit(("op", span, op))
+    def const(self, start: int, value) -> tuple:
+        # the const instruction of a constant phrase that starts at token
+        # ``start``; its span is the first literal's, past any "("
+        texts = self.texts
+        while texts[start] == "(":
+            start += 1
+        return ("const", self.starts[start], value)
+
+    def keep(self, start: int, value) -> None:
+        # emit a phrase that an instruction reads as an operand; callers
+        # pass self.pos before the phrase's method runs, as in
+        # self.keep(self.pos, self.parse_expr())
+        if value is not None:
+            self.code.append(self.const(start, value))
 
     def fail(self, message: str, expected=()):
-        _, _, line, col = self.tokens[self.pos]
+        at = self.starts[self.pos]
+        line, col = _positions(self.source, (at,))[at]
         raise ParseError(Diagnostic(message, line, col, tuple(expected)))
 
     def expect(self, text: str) -> None:
-        got = self.tokens[self.pos][1]
+        got = self.texts[self.pos]
         if got != text:
             self.fail(f"unexpected {got or 'end of input'!r}", expected=(repr(text),))
         self.pos += 1
 
-    def parse_sum(self) -> None:
-        self.parse_product()
-        t = self.tokens[self.pos]
-        while t[1] in _SUM_OPS:
-            self.pos += 1
-            self.parse_product()
-            self.emit_op(t[2:], t[1])
-            t = self.tokens[self.pos]
+    def binary(self, start, x, mark, at, y):
+        # emit an operation that does not fold, its constant operands first:
+        # the left one's const goes at ``mark``, where the right operand's
+        # code begins (a constant left operand emitted none)
+        code = self.code
+        if x is not None:
+            code.insert(mark, self.const(start, x))
+        self.keep(at + 1, y)
+        code.append(("op", self.starts[at], self.texts[at]))
+
+    def parse_sum(self):
+        start = self.pos
+        x = self.parse_product()
+        texts, code = self.texts, self.code
+        at = self.pos
+        while texts[at] in _SUM_OPS:
+            self.pos = at + 1
+            mark = len(code)
+            y = self.parse_product()
+            if texts[at] == "+" and x is not None and y is not None:
+                # natural sum; terms already in order just concatenate
+                if x and y and x[-1][0] > y[0][0]:
+                    x = _make((*x, *y))
+                else:
+                    x = nat_add(x, y)
+            else:
+                self.binary(start, x, mark, at, y)
+                x = None
+            at = self.pos
+        return x
 
     parse_expr = parse_sum
 
-    def parse_product(self) -> None:
-        self.parse_unary()
-        t = self.tokens[self.pos]
-        while t[1] in _PROD_OPS:
-            self.pos += 1
-            self.parse_unary()
-            self.emit_op(t[2:], t[1])
-            t = self.tokens[self.pos]
+    def parse_product(self):
+        start = self.pos
+        x = self.parse_unary()
+        texts, code = self.texts, self.code
+        at = self.pos
+        while texts[at] in _PROD_OPS:
+            self.pos = at + 1
+            mark = len(code)
+            y = self.parse_unary()
+            if texts[at] == "*" and x is not None and y is not None:
+                # natural product; a finite y scales x's coefficients
+                if len(y) == 1 and not y[0][0]:
+                    k = y[0][1]
+                    x = _make(tuple([(e, c * k) for e, c in x]))
+                else:
+                    x = nat_mul(x, y)
+            else:
+                self.binary(start, x, mark, at, y)
+                x = None
+            at = self.pos
+        return x
 
-    def parse_unary(self) -> None:
+    def parse_unary(self):
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.fail(f"expression nested too deeply (more than {MAX_NESTING} levels)")
         # unary minus binds looser than the power operators: -w^2 = -(w^2)
-        t = self.tokens[self.pos]
-        if t[1] == "-":
-            self.pos += 1
-            self.parse_unary()
-            self.emit(("neg", t[2:], None))
+        start = self.pos
+        if self.texts[start] == "-":
+            self.pos = start + 1
+            self.keep(start + 1, self.parse_unary())
+            self.code.append(("neg", self.starts[start], None))
+            x = None
         else:
-            self.parse_atom()
-            t = self.tokens[self.pos]
-            if t[1] in _POW_OPS:
-                self.pos += 1
-                self.parse_unary()  # right assoc
-                self.emit_op(t[2:], t[1])
-        self.depth -= 1
-
-    def parse_atom(self) -> None:
-        kind, text, line, col = self.tokens[self.pos]
-        span = (line, col)
-        if kind == "num":
-            self.pos += 1
-            try:
-                value = int(text)
-            except ValueError:  # longer than the interpreter's int-string limit
-                raise ParseError(Diagnostic(
-                    f"number literal is too long ({len(text)} digits)", line, col
-                )) from None
-            self.emit(("const", span, _finite(value)))
-        elif kind == "ident":
-            self.pos += 1
-            nxt = self.tokens[self.pos][1]
-            if text == "w":
-                self.emit(("const", span, OMEGA))
-            elif text == "eps0":
-                self.emit(("eps0", span, None))
-            elif nxt != "[" and nxt != "(":
-                self.emit(("var", span, text))
-            else:
-                # name[bracket](args): the bracket is the first argument
-                nargs = 0
-                if nxt == "[":
-                    self.pos += 1
-                    self.parse_expr()
-                    self.expect("]")
-                    nargs = 1
-                self.expect("(")
-                if self.tokens[self.pos][1] != ")":
-                    self.parse_expr()
-                    nargs += 1
-                    while self.tokens[self.pos][1] == ",":
-                        self.pos += 1
-                        self.parse_expr()
-                        nargs += 1
-                self.expect(")")
-                if text == "H" and nxt == "[":
-                    if nargs != 3:
-                        self.fail("H[...] takes exactly two arguments")
-                    self.emit(("H", span, None))
+            x = self.parse_atom()
+            at = self.pos
+            op = self.texts[at]
+            if op in _POW_OPS:
+                self.pos = at + 1
+                mark = len(self.code)
+                y = self.parse_unary()  # right assoc
+                if op == "^" and x == OMEGA and y is not None:
+                    x = _make(((y, 1),))  # w^y, one term
                 else:
-                    self.emit(("call", span, (text, nargs)))
-        elif text == "(":
+                    self.binary(start, x, mark, at, y)
+                    x = None
+        self.depth -= 1
+        return x
+
+    def parse_atom(self):
+        pos = self.pos
+        text = self.texts[pos]
+        self.pos = pos + 1
+        if text == "w":
+            return OMEGA
+        if text.isdecimal():
+            try:
+                return _finite(int(text))
+            except ValueError:  # longer than the interpreter's int-string limit
+                self.pos = pos
+                self.fail(f"number literal is too long ({len(text)} digits)")
+        code, span = self.code, self.starts[pos]
+        if text == "(":
+            x = self.parse_expr()
+            if self.texts[self.pos] != ",":
+                self.expect(")")
+                return x
+            self.keep(pos + 1, x)
             self.pos += 1
-            self.parse_expr()
-            if self.tokens[self.pos][1] == ",":
-                self.pos += 1
-                self.parse_expr()
-                self.expect(")")
-                self.emit(("call", span, ("complex", 2)))
-            else:
-                self.expect(")")
-        else:
+            self.keep(self.pos, self.parse_expr())
+            self.expect(")")
+            code.append(("call", span, ("complex", 2)))
+        elif text in _NOT_NAMES:
+            self.pos = pos
             self.fail(
                 f"unexpected {text or 'end of input'!r}",
                 expected=("number", "'w'", "'eps0'", "name", "'('", "'-'"),
             )
+        elif text == "eps0":
+            code.append(("eps0", span, None))
+        else:
+            nxt = self.texts[self.pos]
+            if nxt != "[" and nxt != "(":
+                code.append(("var", span, text))
+                return None
+            # name[bracket](args): the bracket is the first argument
+            nargs = 0
+            if nxt == "[":
+                self.pos += 1
+                self.keep(self.pos, self.parse_expr())
+                self.expect("]")
+                nargs = 1
+            self.expect("(")
+            if self.texts[self.pos] != ")":
+                self.keep(self.pos, self.parse_expr())
+                nargs += 1
+                while self.texts[self.pos] == ",":
+                    self.pos += 1
+                    self.keep(self.pos, self.parse_expr())
+                    nargs += 1
+            self.expect(")")
+            if text == "H" and nxt == "[":
+                if nargs != 3:
+                    self.fail("H[...] takes exactly two arguments")
+                code.append(("H", span, None))
+            else:
+                code.append(("call", span, (text, nargs)))
+        return None
 
 
 def parse(source: str) -> list:
     """Parse a single expression to postfix code; raises ParseError with a
     Diagnostic."""
-    p = _Parser(tokenize(source))
-    p.parse_expr()
-    kind, text, line, col = p.tokens[p.pos]
-    if kind != "end":
-        raise ParseError(Diagnostic(f"trailing input starting at {text!r}", line, col))
-    return p.code
+    p = _Parser(source, tokenize(source))
+    x = p.parse_expr()
+    text = p.texts[p.pos]
+    if text:
+        p.fail(f"trailing input starting at {text!r}")
+    p.keep(0, x)
+    code = p.code
+    at = _positions(source, [i[1] for i in code])
+    return [(tag, at[i], arg) for tag, i, arg in code]
 
 
 def try_parse(source: str):

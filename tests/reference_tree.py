@@ -1,12 +1,14 @@
 """Reference front end: the tree parser and the recursive evaluator that the
 postfix code and its flat loop replaced.
 
-``parse`` builds a tree of frozen dataclasses by recursive descent and
-``evaluate`` walks it by recursion, one call per node.  Both share only the
-tokenizer, the value classes and the arithmetic with the package, so a
-difference in value, error kind, operation, span or message between this
-pair and ``transfinita.evaluate(transfinita.parse(s))`` is a front-end
-defect.  Lines must be shallow: this pair nests Python frames per level.
+``tokenize`` reads the source one character at a time, ``parse`` builds a
+tree of frozen dataclasses from its tokens by recursive descent and
+``evaluate`` walks it by recursion, one call per node.  They share only
+the value classes, the diagnostics and the arithmetic with the package, so
+a difference in value, error kind, operation, span or message between this
+front end and ``transfinita.evaluate(transfinita.parse(s))`` is a
+front-end defect.  Lines must be shallow: this pair nests Python frames
+per level.
 
 Moving values along the tower is the front end's too, so this module keeps
 its own copy of the type ladders that ``expr``'s tower tables replaced:
@@ -48,7 +50,7 @@ from transfinita.ordinal import (
     rec_pow,
     rec_sub_left,
 )
-from transfinita.parser import Diagnostic, ParseError, tokenize
+from transfinita.parser import Diagnostic, ParseError
 from transfinita.surinteger import SurInteger, neg as si_neg, si_add, si_mul, si_sub, to_ordinal
 from transfinita.surrational import (
     SurRational,
@@ -188,6 +190,59 @@ class FuncApp:
 class Var:
     ident: str
     span: Span = field(default=None, compare=False)
+
+
+def tokenize(source):
+    """The per-character tokenizer that the compiled pattern replaced, kept
+    as the reference for its lexical rules: ``(kind, text, line, col)``
+    tuples, kind one of "num", "ident", "op", ending with one
+    ``("end", "", line, col)``."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        start_col = col
+        if ch.isdecimal():
+            j = i
+            while j < n and source[j].isdecimal():
+                j += 1
+            tokens.append(("num", source[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(("ident", source[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        two = source[i : i + 2]
+        if two in ("+.", "-.", "*.", "^^"):
+            tokens.append(("op", two, line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch in "+-*/^()[],":
+            tokens.append(("op", ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(Diagnostic(f"unexpected character {ch!r}", line, col))
+    tokens.append(("end", "", line, col))
+    return tokens
 
 
 _SUM_OPS = frozenset(("+", "-", "+.", "-."))

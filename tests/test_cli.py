@@ -183,8 +183,9 @@ class TestBatch:
         return [json.loads(line) for line in out.strip().splitlines()]
 
     def test_nesting_depth(self, tmp_path, capsys):
-        # the records the per-character tokenizer and its parser gave
-        exceeded = "finite power needs a number with more than 10^16384 digits"
+        # the records the per-character tokenizer and its parser gave, but
+        # for the digit count: 2^(2^65536) has about 10^19727.8 digits
+        exceeded = "finite power needs a number with more than 10^19727 digits"
         recs = self.batch(
             tmp_path, capsys,
             "(" * 150 + "w + 1" + ")" * 150, "-" * 150 + "w", "2^" * 100 + "2",
@@ -234,7 +235,7 @@ class TestBatch:
         assert recs[1]["error"] == {
             "kind": "ResourceExceeded",
             "operation": "H",
-            "message": "finite power needs a number with more than 10^16384 digits, "
+            "message": "finite power needs a number with more than 10^19727 digits, "
             "budget is 10^5-ish (100000)",
             "line": 1,
             "col": 1,
@@ -272,7 +273,8 @@ class TestBatch:
         assert [r.get("canonical") or r["error"]["kind"] for r in recs] == list(rows.values())
 
     def test_root_cut_powers_are_budgeted(self, tmp_path, capsys):
-        # the first line used to run on with no budget
+        # the first line used to run on with no budget; 3^(10^8) has
+        # 47,712,126 digits
         recs = self.batch(
             tmp_path, capsys,
             "member(sqrt[100000000](2), 3/2)", "member(sqrt[100000](2), 3/2)",
@@ -280,7 +282,7 @@ class TestBatch:
         assert recs[0]["error"] == {
             "kind": "ResourceExceeded",
             "operation": "member",
-            "message": "finite power needs a number with more than 10^6 digits, "
+            "message": "finite power needs a number with more than 10^7 digits, "
             "budget is 10^5-ish (100000)",
             "line": 1,
             "col": 1,

@@ -14,6 +14,8 @@ as a monomial: it alone defines the ``_exp_*`` operations, and neither
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,6 +131,42 @@ def test_parser_imports_only_ordinal_and_natural():
             reached |= {a.name for a in node.names if a.name.startswith("transfinita")}
     assert reached <= {"ordinal", "natural"}
     assert not {n for n in names if n.startswith("rec_")}
+
+
+def test_only_tokenize_reads_the_token_pattern():
+    readers = {
+        getattr(node, "name", f"line {node.lineno}")
+        for node in _parse(SRC / "parser.py").body
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and n.id == "_TOKEN" and isinstance(n.ctx, ast.Load)
+    }
+    assert readers == {"tokenize"}
+
+
+def test_reference_front_end_has_its_own_tokenizer():
+    tree = _parse(ROOT / "tests" / "reference_tree.py")
+    from_package = _imported_names(tree, package_only=True)
+    assert not {n for n in from_package if "token" in n.lower()}
+    assert any(
+        isinstance(node, ast.FunctionDef) and node.name == "tokenize" for node in tree.body
+    )
+
+
+def test_parser_loads_no_module_of_its_own():
+    # every line pays the parser's imports at start-up; those beyond the
+    # package are to be ones that re and dataclasses have loaded already
+    stdlib = set()
+    for node in ast.walk(_parse(SRC / "parser.py")):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            stdlib.add(node.module)
+        elif isinstance(node, ast.Import):
+            stdlib |= {a.name for a in node.names}
+    stdlib -= {"__future__", "re", "dataclasses"}
+    probe = f"import re, dataclasses, sys; print(all(m in sys.modules for m in {sorted(stdlib)!r}))"
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.strip() == "True", (stdlib, done.stderr)
 
 
 _TOWER_TYPES = {"Ordinal", "SurInteger", "SurRational", "GaussianSurRational"}

@@ -31,7 +31,17 @@ from transfinita import (
     rec_sum,
     successor,
 )
-from transfinita.ordinal import _binary_pow, _dec_exp, _make, ordinal_str, predecessor, validate
+from transfinita.errors import ResourceExceeded
+from transfinita.hyper import EvalContext, tetration
+from transfinita.ordinal import (
+    _binary_pow,
+    _check_pow_digits,
+    _dec_exp,
+    _make,
+    ordinal_str,
+    predecessor,
+    validate,
+)
 
 from conftest import o, ordinals
 from random_values import random_ordinal
@@ -333,6 +343,60 @@ class TestRecPow:
     @example(2, o("w^(w + 1)*2 + w^3 + w*4 + 5"))
     def test_finite_base(self, m, b):
         assert rec_pow(Ordinal(m), b) == _ref_finite_base_pow(m, b)
+
+
+def _refusal(base, exp, max_digits):
+    try:
+        _check_pow_digits(base, exp, max_digits)
+    except ResourceExceeded as err:
+        return str(err)
+    return None
+
+
+class TestDigitBudget:
+    @given(
+        st.one_of(st.integers(2, 12), st.integers(2, 10**30)),
+        st.integers(2, 3000),
+        st.integers(-2, 1),
+    )
+    @example(10, 99999, 1)  # exactly the budget's 100,000 digits
+    @example(10, 1000, -1)
+    @example(2, 332193, 0)  # 100,001 digits, just past the coarse bound's band
+    @example(3, 1000, 0)
+    def test_exact_against_the_digits(self, base, exp, shift):
+        # a budget at, just under and just over the power's digit count d:
+        # refused exactly when d > budget, naming the largest k with d > 10^k
+        d = len(str(base**exp))
+        budget = max(d + shift, 1)
+        refused = _refusal(base, exp, budget)
+        if d <= budget:
+            assert refused is None
+        else:
+            k = len(str(d - 1)) - 1
+            assert refused is not None and refused.startswith(
+                f"finite power needs a number with more than 10^{k} digits, "
+            )
+
+    def test_band_between_the_bounds_is_decided_exactly(self):
+        # 1653915 * log10(3) lies 3.3e-7 below 789118, and 2319052 * log10(3)
+        # 1.4e-7 above 1106469: closer than the bounds' 2^-40 can tell
+        assert _refusal(3, 1653915, 789118) is None
+        assert "more than 10^6 digits" in _refusal(3, 2319052, 1106469)
+
+    def test_named_power_of_ten(self):
+        # 2^10000000 has 3,010,300 digits; 10^1000000 has 1,000,001
+        assert "more than 10^6 digits" in _refusal(2, 10**7, 100_000)
+        assert "more than 10^6 digits" in _refusal(10, 10**6, 100_000)
+        assert "more than 10^5 digits" in _refusal(10, 10**5, 100_000)
+        assert _refusal(10, 99_999, 100_000) is None
+        assert len(str(int(rec_pow(Ordinal(10), Ordinal(99_999), 100_000)))) == 100_000
+
+    def test_astronomical_exponents_stay_integers(self):
+        # 6^^4 = 6^46656 has 36,306 digits, so 6^^5 has about 10^36305 digits
+        with pytest.raises(ResourceExceeded, match=r"more than 10\^36305 digits"):
+            tetration(Ordinal(6), Ordinal(6), EvalContext(max_digits=100_000))
+        with pytest.raises(ResourceExceeded, match=r"more than 10\^36305 digits"):
+            _check_pow_digits(6, 6**46656, 10**6)
 
 
 def _ref_finite_base_pow(m, b):

@@ -1,6 +1,7 @@
 """Expression grammar, evaluation dispatch, canonical printing, JSON trees."""
 
 import random
+import re
 import sys
 
 import hypothesis.strategies as st
@@ -27,15 +28,16 @@ from transfinita import expr as tower
 from transfinita.cuts import CX_ONE, CX_ZERO, GaussianSurRational, RootClassification
 from transfinita.expr import CutHandle, evaluate
 from transfinita.hyper import EvalContext, tetration
-from transfinita.ordinal import MAX_DEPTH, OrdinalClass, _finite
+from transfinita.natural import nat_add, nat_mul
+from transfinita.ordinal import MAX_DEPTH, OrdinalClass, _finite, validate
 from transfinita.ordinal import _depth as nesting_depth
 from transfinita.ordinal import _make as _make_ordinal
-from transfinita.parser import MAX_NESTING, tokenize
+from transfinita.parser import MAX_NESTING, _positions, tokenize
 from transfinita.surinteger import _make as _make_si, si_mul
 from transfinita.surrational import Q_ZERO, SurRational
 
 import reference_tree
-from conftest import o, q, si
+from conftest import o, ordinals, q, si
 from random_values import random_gaussian, random_ordinal, random_surinteger, random_surrational
 
 
@@ -126,6 +128,42 @@ class TestGrammar:
             assert ops(code) == [("const", v)] and type(code[0][2]) is Ordinal
 
 
+def _split(z, mask):
+    """Two ordinals from z's terms: those whose index is a set bit of mask,
+    and the rest.  A mask 2^j - 1 picks the first j terms, which lie above
+    the rest; other masks interleave the two."""
+    picked = [mask >> i & 1 for i in range(len(z))]
+    return (
+        _make_ordinal(tuple(t for t, p in zip(z, picked) if p)),
+        _make_ordinal(tuple(t for t, p in zip(z, picked) if not p)),
+    )
+
+
+_SUMMANDS = st.one_of(
+    st.builds(_split, ordinals(max_terms=6), st.integers(0, 63)),
+    st.tuples(ordinals(), ordinals()),
+)
+
+
+class TestFolds:
+    """The parser's shortcuts for constant operands against the natural
+    operations they stand for."""
+
+    @given(ordinals(), st.one_of(st.integers(0, 12), st.integers(0, 10**30)))
+    def test_scaling_by_a_finite_is_the_natural_product(self, x, k):
+        ((tag, _, v),) = parse(f"({print_canonical(x)}) * {k}")
+        assert tag == "const" and type(v) is Ordinal
+        assert v == nat_mul(x, Ordinal(k))
+
+    @given(_SUMMANDS)
+    def test_ordered_sums_are_natural_sums(self, xy):
+        for x, y in (xy, xy[::-1]):
+            ((tag, _, v),) = parse(f"({print_canonical(x)}) + ({print_canonical(y)})")
+            assert tag == "const" and type(v) is Ordinal
+            assert v == nat_add(x, y)
+            validate(v)
+
+
 class TestDiagnostics:
     def test_unexpected_character(self):
         with pytest.raises(ParseError) as err:
@@ -163,55 +201,21 @@ class TestDiagnostics:
         assert parse("x²") == [("var", (1, 1), "x²")]
 
 
-# The per-character tokenizer that the compiled pattern replaced, kept as the
-# reference for its lexical rules: tokens as (kind, text, line, col).
-def _ref_tokenize(source):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdecimal():
-            j = i
-            while j < n and source[j].isdecimal():
-                j += 1
-            tokens.append(("num", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("ident", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = source[i : i + 2]
-        if two in ("+.", "-.", "*.", "^^"):
-            tokens.append(("op", two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in "+-*/^()[],":
-            tokens.append(("op", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(Diagnostic(f"unexpected character {ch!r}", line, col))
-    tokens.append(("end", "", line, col))
-    return tokens
+def _kind(text):
+    if not text:
+        return "end"
+    if text[0].isdecimal():
+        return "num"
+    return "ident" if text[0].isalpha() or text[0] == "_" else "op"
+
+
+def _lexed_here(source):
+    """The package's tokens as the reference gives them: ``(kind, text,
+    line, col)``, the offsets turned into lines and columns by the parser's
+    own conversion."""
+    tokens = tokenize(source)
+    at = _positions(source, tokens.starts)
+    return [(_kind(t), t, *at[i]) for t, i in zip(tokens, tokens.starts, strict=True)]
 
 
 def _lexed(tokenizer, source):
@@ -232,7 +236,20 @@ class TestTokenizer:
     @example("")
     @example("w^(w^2*3 + w) +. 1\n  -. ² x²")
     def test_matches_reference(self, source):
-        assert _lexed(tokenize, source) == _lexed(_ref_tokenize, source)
+        want = _lexed(reference_tree.tokenize, source)
+        assert _lexed(_lexed_here, source) == want
+        if isinstance(want, list):  # the count the bench's trace reads
+            assert len(tokenize(source)) == len(want)
+
+    def test_blanks_are_what_str_isspace_says(self):
+        # the pattern skips "\s" after a token, and tokenize strips the
+        # source's leading blanks and each match's trailing ones with the
+        # argument-free str.lstrip and str.rstrip: all three must agree
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        spaces = {c for c in every if c.isspace()}
+        assert set(re.findall(r"\s", every)) == spaces
+        assert {c for c in every if not c.strip()} == spaces
+        assert not re.findall(r"\w", "".join(spaces))  # no name ends in a blank
 
     def test_literals_come_from_the_finite_table(self):
         (_, _, five), _, (_, _, zero) = parse("5 + x * 0")[:3]
@@ -438,6 +455,9 @@ class TestPostfixAgainstTree:
     @example("w^2*3 + 5 -. x")
     @example("w ^ w^(w^2)*3 + w + 1 - 1 / 0")
     @example("w ^ -w*2 + 1")
+    @example("w^2\n  + 1 / 0")  # spans past line 1
+    @example("1 +\r\n $")
+    @example("x\u2028+\n y")  # U+2028 is a blank, not a line break
     def test_same_value_or_error(self, source):
         assert _outcome(parse, evaluate, source) == _outcome(
             reference_tree.parse, reference_tree.evaluate, source
