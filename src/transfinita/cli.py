@@ -20,13 +20,23 @@ import sys
 from .errors import TransfinitaError
 from .expr import DEFAULT_AMBIENT, EvalError, as_ordinal, evaluate, run
 from .hyper import EvalContext
-from .oracle import DEFAULT_BOUND, SmallOrdinal, def_rec_add, def_rec_mul
 from .ordinal import ONE, ZERO, Ordinal
 from .parser import ParseError, parse
 from .printer import JSON_SCHEMA, VALUE_TYPES, encode, print_canonical
 from .surinteger import check_lambda
 
 CLI_MAX_DIGITS = 100_000  # interactive default, a tenth of the library's
+
+
+def _digit_budget(text: str) -> int:
+    # the type of --max-magnitude: below one digit is a usage error (exit 2)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -36,7 +46,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     )
     ap.add_argument(
         "--max-magnitude",
-        type=int,
+        type=_digit_budget,
         default=CLI_MAX_DIGITS,
         metavar="DIGITS",
         help="decimal-digit budget for finite powers (default %(default)s)",
@@ -56,7 +66,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
-def _to_fragment(o: Ordinal):
+def _to_fragment(o: Ordinal, oracle):
     # embed an ordinal of shape w*a + b into the oracle fragment, or None
     a = b = 0
     for e, c in o.terms:
@@ -66,9 +76,9 @@ def _to_fragment(o: Ordinal):
             b = c
         else:
             return None
-    if a > DEFAULT_BOUND or b > DEFAULT_BOUND:
+    if a > oracle.DEFAULT_BOUND or b > oracle.DEFAULT_BOUND:
         return None
-    return SmallOrdinal(a, b)
+    return oracle.SmallOrdinal(a, b)
 
 
 def _oracle_check(code, value, env, ctx, ambient) -> str:
@@ -76,16 +86,19 @@ def _oracle_check(code, value, env, ctx, ambient) -> str:
     tag, _, op = code[-1]
     if tag != "op" or op not in ("+.", "*."):
         return ""
+    # loaded by the first check, not at start-up: only --oracle needs it
+    from . import oracle
+
     try:
         # the code before the last instruction leaves its two operands
-        x, y = (_to_fragment(as_ordinal(u)) for u in run(code[:-1], env, ctx, ambient))
-        v = _to_fragment(as_ordinal(value))
+        x, y = (_to_fragment(as_ordinal(u), oracle) for u in run(code[:-1], env, ctx, ambient))
+        v = _to_fragment(as_ordinal(value), oracle)
     except TransfinitaError:
         return ""
     if x is None or y is None or v is None:
         return ""
     try:
-        ref = def_rec_add(x, y) if op == "+." else def_rec_mul(x, y)
+        ref = oracle.def_rec_add(x, y) if op == "+." else oracle.def_rec_mul(x, y)
     except TransfinitaError:
         return ""
     if ref != v:

@@ -21,13 +21,11 @@ formulas; over an ordered field they make every nonzero element invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Optional
 
 from .errors import DivisionByZero, OutOfField, Undefined
 from .natural import _exp_root
-from .ordinal import DEFAULT_MAX_DIGITS, LT, Ordinal, _check_pow_digits
+from .ordinal import DEFAULT_MAX_DIGITS, LT, Ordinal, _check_pow_digits, _Frozen, _set
 from .surinteger import (
     SurInteger,
     _make as _make_si,
@@ -50,28 +48,29 @@ from .surrational import (
     reduce as q_reduce,
 )
 
-@dataclass(frozen=True)
-class RationalCut:
+
+class RationalCut(_Frozen):
     """Left set of every field element below ``q``."""
 
-    q: SurRational
-    lam: Ordinal
+    __slots__ = ("q", "lam")
 
-    def __post_init__(self):
-        check_lambda(self.lam)
+    def __init__(self, q: SurRational, lam: Ordinal):
+        check_lambda(lam)
+        _set(self, "q", q)
+        _set(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class RootCut:
+class RootCut(_Frozen):
     """Left set of every field element whose n-th power is below ``q > 0``."""
 
-    q: SurRational
-    n: int
-    lam: Ordinal
+    __slots__ = ("q", "n", "lam")
 
-    def __post_init__(self):
-        check_lambda(self.lam)
-        check_root(self.q, self.n)
+    def __init__(self, q: SurRational, n: int, lam: Ordinal):
+        check_lambda(lam)
+        check_root(q, n)
+        _set(self, "q", q)
+        _set(self, "n", n)
+        _set(self, "lam", lam)
 
 
 def check_root(q: SurRational, n: int) -> None:
@@ -103,10 +102,14 @@ def cut_member(cut, p: SurRational, max_digits: int = DEFAULT_MAX_DIGITS) -> boo
     return si_compare(lhs, rhs) == LT
 
 
-@dataclass(frozen=True)
-class RootClassification:
-    kind: str  # "surrational" | "irrational" | "inconclusive"
-    witness: Optional[SurRational] = None
+class RootClassification(_Frozen):
+    """A root cut's verdict, with the exact root when there is one."""
+
+    __slots__ = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: SurRational | None = None):
+        _set(self, "kind", kind)  # "surrational" | "irrational" | "inconclusive"
+        _set(self, "witness", witness)
 
     def __repr__(self) -> str:
         if self.kind == "surrational":
@@ -176,12 +179,14 @@ def _q_pow(p: SurRational, n: int) -> SurRational:
     return SurRational(si_pow(p.num, n), si_pow(p.den, n))
 
 
-@dataclass(frozen=True)
-class GaussianSurRational:
+class GaussianSurRational(_Frozen):
     """Pair (re, im) with the usual complex formulas over surrationals."""
 
-    re: SurRational
-    im: SurRational
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: SurRational, im: SurRational):
+        _set(self, "re", re)
+        _set(self, "im", im)
 
     def __repr__(self) -> str:
         return f"Gaussian[{self.re!r}, {self.im!r}]"

@@ -32,9 +32,7 @@ span of the offending instruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import eq
-from typing import Optional, Union
 
 from .cuts import (
     GaussianSurRational,
@@ -55,6 +53,7 @@ from .errors import NOT_DIVISIBLE, NotRepresentable, TransfinitaError, Undefined
 from .hyper import DEFAULT_CONTEXT, EvalContext, hyperop, tetration
 from .natural import nat_add, nat_mul
 from .ordinal import OMEGA, Ordinal, OrdinalClass, classify, rec_add, rec_mul, rec_pow, rec_sub_left
+from .ordinal import _Frozen, _set
 from .surinteger import SurInteger, neg as si_neg, si_add, si_mul, si_sub, to_ordinal
 from .surrational import (
     Q_ZERO,
@@ -69,27 +68,24 @@ from .surrational import (
     q_sub,
 )
 
-Span = Optional[tuple]  # (line, col) of an instruction's token
+Span = "tuple | None"  # (line, col) of an instruction's token
 
 
-@dataclass(frozen=True)
-class CutHandle:
+class CutHandle(_Frozen):
     """Intermediate value of ``sqrt[n](q)`` awaiting member()/classify()."""
 
-    q: SurRational
-    n: int
+    __slots__ = ("q", "n")
+
+    def __init__(self, q: SurRational, n: int):
+        _set(self, "q", q)
+        _set(self, "n", n)
 
 
-Value = Union[
-    Ordinal,
-    SurInteger,
-    SurRational,
-    GaussianSurRational,
-    bool,
-    OrdinalClass,
-    RootClassification,
-    CutHandle,
-]
+# the value types, for annotations, which stay strings: typing is not loaded
+Value = (
+    "Ordinal | SurInteger | SurRational | GaussianSurRational | bool"
+    " | OrdinalClass | RootClassification | CutHandle"
+)
 
 
 class EvalError(TransfinitaError):
@@ -193,7 +189,7 @@ DEFAULT_AMBIENT = rec_pow(OMEGA, OMEGA)
 
 def evaluate(
     code: list,
-    env: Optional[dict] = None,
+    env: dict | None = None,
     ctx: EvalContext = DEFAULT_CONTEXT,
     ambient: Ordinal = DEFAULT_AMBIENT,
 ) -> Value:
@@ -207,7 +203,7 @@ _OPERATION = {"neg": "-", "H": "H", "var": "name", "eps0": "eps0"}
 
 def run(
     code: list,
-    env: Optional[dict] = None,
+    env: dict | None = None,
     ctx: EvalContext = DEFAULT_CONTEXT,
     ambient: Ordinal = DEFAULT_AMBIENT,
 ) -> list:

@@ -17,8 +17,6 @@ ResourceExceeded before any huge integer is materialised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotRepresentable, ResourceExceeded, Undefined, Unsupported
 from .natural import ClosureKind, is_closure_number, next_closure
 from .ordinal import (
@@ -28,8 +26,10 @@ from .ordinal import (
     ZERO,
     Ordinal,
     _check_depth,
+    _Frozen,
     _depth,
     _pow,
+    _set,
     rec_add,
     rec_mul,
     rec_pow,
@@ -40,11 +40,14 @@ _TWO, _FOUR = Ordinal(2), Ordinal(4)
 _PAST_BOUNDARY = "the supremum exceeds the notation boundary"
 
 
-@dataclass(frozen=True)
-class EvalContext:
-    """Evaluation budget: the decimal-digit cap."""
+class EvalContext(_Frozen):
+    """Evaluation budget: the decimal-digit cap.  Immutable: another budget
+    is another ``EvalContext(max_digits=...)``."""
 
-    max_digits: int = DEFAULT_MAX_DIGITS
+    __slots__ = ("max_digits",)
+
+    def __init__(self, max_digits: int = DEFAULT_MAX_DIGITS):
+        _set(self, "max_digits", max_digits)
 
 
 DEFAULT_CONTEXT = EvalContext()

@@ -53,20 +53,23 @@ that opens the level past the limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
 from .natural import nat_add, nat_mul
-from .ordinal import OMEGA, _finite, _make
+from .ordinal import OMEGA, _finite, _Frozen, _make, _set
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    message: str
-    line: int
-    col: int
-    expected: tuple = ()
+class Diagnostic(_Frozen):
+    """Where a line failed to parse, why, and which tokens would have fit."""
+
+    __slots__ = ("message", "line", "col", "expected")
+
+    def __init__(self, message: str, line: int, col: int, expected: tuple = ()):
+        _set(self, "message", message)
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "expected", expected)
 
     def __str__(self) -> str:
         exp = f" (expected {', '.join(self.expected)})" if self.expected else ""

@@ -16,9 +16,7 @@ membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
 
 from .errors import NOT_CYCLIC, InvalidLambda, Undefined
 from .natural import ClosureKind, _convolve_terms, _merge_terms, is_closure_number
@@ -30,7 +28,7 @@ from .ordinal import (
     Ordinal,
     validate as validate_ordinal,
 )
-from .ordinal import _binary_pow, _encode_terms
+from .ordinal import _binary_pow, _encode_terms, _Frozen, _set
 from .ordinal import _make as _make_ordinal
 
 
@@ -48,7 +46,7 @@ class SurInteger:
         self.terms = ((ZERO, value),) if value else ()
 
     @staticmethod
-    def from_terms(terms: Iterable[tuple]) -> "SurInteger":
+    def from_terms(terms) -> "SurInteger":
         a = _make(tuple(terms))
         validate(a)
         return a
@@ -114,13 +112,15 @@ def validate(a: SurInteger) -> None:
         prev = e
 
 
-@dataclass(frozen=True)
-class CoordinateForm:
+class CoordinateForm(_Frozen):
     """(negative part, positive part) pair of plain ordinals with disjoint
     exponent support."""
 
-    negative: Ordinal
-    positive: Ordinal
+    __slots__ = ("negative", "positive")
+
+    def __init__(self, negative: Ordinal, positive: Ordinal):
+        _set(self, "negative", negative)
+        _set(self, "positive", positive)
 
 
 def to_coordinates(a: SurInteger) -> CoordinateForm:

@@ -119,6 +119,20 @@ class TestEval:
         code, _, err = run(capsys, "--max-magnitude", "10", "eval", "H[4](3,3)")
         assert code == 1 and "ResourceExceeded" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_magnitude_below_one_is_a_usage_error(self, capsys, budget):
+        with pytest.raises(SystemExit) as done:
+            main(["--max-magnitude", budget, "eval", "2^2"])
+        out = capsys.readouterr()
+        assert done.value.code == 2 and out.out == ""
+        assert out.err.startswith("usage: transfinita")
+        assert f"error: argument --max-magnitude: must be at least 1, got {budget}\n" in out.err
+
+    def test_magnitude_of_one_digit(self, capsys):
+        assert run(capsys, "--max-magnitude", "1", "eval", "3^2") == (0, "9\n", "")
+        code, _, err = run(capsys, "--max-magnitude", "1", "eval", "3^3")
+        assert code == 1 and "ResourceExceeded" in err
+
     def test_oracle_flag_quiet_on_agreement(self, capsys):
         code, out, err = run(capsys, "--oracle", "eval", "(w + 1) +. (w*2 + 3)")
         assert code == 0 and out.strip() == "w*3 + 3"
@@ -135,7 +149,7 @@ class TestEval:
             seen.append((x, y))
             return SmallOrdinal(0, 7)
 
-        monkeypatch.setattr(f"transfinita.cli.{name}", wrong)
+        monkeypatch.setattr(f"transfinita.oracle.{name}", wrong)
         code, out, _ = run(capsys, "--json", "--oracle", "eval", source)
         rec = json.loads(out)
         assert code == 0 and "value" in rec
@@ -174,6 +188,18 @@ class TestBatch:
         assert lines[0]["error"]["kind"] == "internal" and "value" not in lines[0]
         assert lines[0]["error"]["message"].startswith("RuntimeError")
         assert lines[1]["canonical"] == "2"
+
+    def test_cut_handle_record(self, tmp_path, capsys):
+        # the message names the handle by its repr, byte for byte
+        path = tmp_path / "cut.txt"
+        path.write_text("sqrt[2](2) + 1\n")
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == 1 and err == ""
+        assert out == (
+            '{"schema": "1", "input": "sqrt[2](2) + 1", "error": {"kind": "Undefined", '
+            '"operation": "+", "message": "CutHandle(q=SurRational[2], n=2) is not a '
+            'numeric value", "line": 1, "col": 12}}\n'
+        )
 
     def batch(self, tmp_path, capsys, *sources):
         path = tmp_path / "lines.txt"
@@ -431,7 +457,7 @@ class TestRepl:
         assert "4" in out
 
     def test_oracle_mismatch_is_a_warning(self, monkeypatch, capsys):
-        monkeypatch.setattr("transfinita.cli.def_rec_add", lambda x, y: SmallOrdinal(0, 7))
+        monkeypatch.setattr("transfinita.oracle.def_rec_add", lambda x, y: SmallOrdinal(0, 7))
         code, out, err = self._run_repl(
             monkeypatch, capsys, [":oracle on", "1 +. w", ":oracle off", "2 +. w", ":quit"]
         )

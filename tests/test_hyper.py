@@ -1,7 +1,6 @@
 """The hyperoperation tower, tetration, and tower-closure points."""
 
 import random
-from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -170,7 +169,7 @@ _SUP_SAMPLES = 8
 
 
 def _sup_over_limit(gen, ctx: EvalContext) -> Ordinal:
-    sample_ctx = replace(ctx, max_digits=min(ctx.max_digits, _SUP_SAMPLE_DIGITS))
+    sample_ctx = EvalContext(max_digits=min(ctx.max_digits, _SUP_SAMPLE_DIGITS))
     vals = []
     for k in range(1, _SUP_SAMPLES + 1):
         try:

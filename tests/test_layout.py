@@ -6,7 +6,9 @@ be exported from the package, used somewhere else in the package, or
 imported by the benchmark in ``bench/``.  Code that only tests use belongs
 under ``tests/``.  Every public method or property of a public class must be
 read as an attribute somewhere in ``src``, ``tests`` or ``bench``.  The
-parser, which folds constants, imports only ``ordinal`` and ``natural``.
+parser, which folds constants, imports only ``ordinal`` and ``natural``,
+and importing the CLI loads none of the modules that start-up can do
+without.
 ``expr`` moves values along the numeric tower through its tables, never by
 an ``isinstance`` test on a tower type.  Only ``natural`` reads an exponent
 as a monomial: it alone defines the ``_exp_*`` operations, and neither
@@ -154,19 +156,36 @@ def test_reference_front_end_has_its_own_tokenizer():
 
 def test_parser_loads_no_module_of_its_own():
     # every line pays the parser's imports at start-up; those beyond the
-    # package are to be ones that re and dataclasses have loaded already
+    # package are to be ones that re has loaded already
     stdlib = set()
     for node in ast.walk(_parse(SRC / "parser.py")):
         if isinstance(node, ast.ImportFrom) and not node.level:
             stdlib.add(node.module)
         elif isinstance(node, ast.Import):
             stdlib |= {a.name for a in node.names}
-    stdlib -= {"__future__", "re", "dataclasses"}
-    probe = f"import re, dataclasses, sys; print(all(m in sys.modules for m in {sorted(stdlib)!r}))"
+    stdlib -= {"__future__", "re"}
+    probe = f"import re, sys; print(all(m in sys.modules for m in {sorted(stdlib)!r}))"
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, timeout=60
     )
     assert done.stdout.strip() == "True", (stdlib, done.stderr)
+
+
+# Modules that no eval call or batch child needs before its first record:
+# dataclasses loads inspect, ast, dis and tokenize, typing is annotations
+# only, and the oracle serves --oracle alone.
+_NOT_AT_START_UP = ("dataclasses", "inspect", "typing", "transfinita.oracle")
+
+
+def test_cli_start_up_loads_no_heavy_module():
+    probe = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import transfinita.cli; "
+        f"print([m for m in {_NOT_AT_START_UP!r} if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.strip() == "[]", done.stderr
 
 
 _TOWER_TYPES = {"Ordinal", "SurInteger", "SurRational", "GaussianSurRational"}

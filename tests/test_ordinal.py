@@ -383,6 +383,25 @@ class TestDigitBudget:
         assert _refusal(3, 1653915, 789118) is None
         assert "more than 10^6 digits" in _refusal(3, 2319052, 1106469)
 
+    def test_band_power_is_built_once(self):
+        # in the band the check builds the power and hands it to rec_pow,
+        # which returns the same value and refuses with the same error
+        power = 3**1653915
+        assert _check_pow_digits(3, 1653915, 789118) == power
+        assert _check_pow_digits(3, 40, 789118) is None  # decided by the bounds
+        assert rec_pow(Ordinal(3), Ordinal(1653915), 789118) == Ordinal(power)
+        # 3^(w + k) = w * 3^k: the finite part goes through the same check
+        assert rec_pow(Ordinal(3), o("w + 1653915"), 789118) == rec_mul(OMEGA, Ordinal(power))
+        with pytest.raises(ResourceExceeded, match=r"more than 10\^6 digits, budget is "
+                           r"10\^6-ish \(1106469\)"):
+            rec_pow(Ordinal(3), Ordinal(2319052), 1106469)
+
+    def test_rec_pow_takes_the_checked_power(self, monkeypatch):
+        # a power that the check built is not built again
+        monkeypatch.setattr("transfinita.ordinal._check_pow_digits", lambda base, exp, digits: 7)
+        assert rec_pow(Ordinal(3), Ordinal(5)) == Ordinal(7)
+        assert rec_pow(Ordinal(3), o("w + 5")) == rec_mul(OMEGA, Ordinal(7))
+
     def test_named_power_of_ten(self):
         # 2^10000000 has 3,010,300 digits; 10^1000000 has 1,000,001
         assert "more than 10^6 digits" in _refusal(2, 10**7, 100_000)

@@ -312,7 +312,7 @@ class TestRecordText:
         assert out == [json.dumps(_record(line)) for line in lines]
 
     def test_oracle_warning(self, monkeypatch, capsys, tmp_path):
-        monkeypatch.setattr("transfinita.cli.def_rec_add", lambda x, y: SmallOrdinal(0, 7))
+        monkeypatch.setattr("transfinita.oracle.def_rec_add", lambda x, y: SmallOrdinal(0, 7))
         (out,) = _batch_lines(capsys, tmp_path, ["1 +. w"], "--oracle")
         rec = _record("1 +. w", oracle=True)
         assert "warning" in rec and out == json.dumps(rec)
