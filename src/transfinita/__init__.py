@@ -73,6 +73,7 @@ from .surinteger import (
     neg,
     si_add,
     si_compare,
+    si_gcd,
     si_mul,
     si_sub,
     to_coordinates,

@@ -122,27 +122,38 @@ def _exp_root(x, n: int):
     return _make(tuple((e, k // n) for e, k in x))
 
 
+def _int_terms(terms):
+    """A polynomial in w as (int exponent, coefficient) pairs in decreasing
+    exponent order, or None when it is zero or has a transfinite exponent
+    (terms decrease, so the first exponent decides: finite when it is 0 or
+    leads with w^0)."""
+    if not terms or (terms[0][0] and terms[0][0][0][0]):
+        return None
+    return [(e[0][1] if e else 0, c) for e, c in terms]
+
+
 def _convolve_terms(ta, tb) -> tuple:
     """Distributive product of two term lists: exponents add naturally
     (``_exp_sum``), like terms collect, zero sums drop out.  One term times
     a list keeps the list's order (``x -> e + x`` is strictly increasing),
     so a one-term side needs no bucket and no sort.
 
-    When both sides are non-empty and lead with a finite exponent, every
-    exponent is finite (terms decrease), so the two are polynomials in w:
-    their exponents are read as ints once per term, like terms collect
-    under int keys, and the keys sorted in decreasing order give the
-    exponents in the order of the finite ordinals they stand for."""
+    When every exponent of both sides is finite, the two are polynomials
+    in w: their exponents are read as ints once (``_int_terms``), like
+    terms collect under int keys, and the keys sorted in decreasing order
+    give the exponents in the order of the finite ordinals they stand for."""
     if len(tb) == 1:
         ta, tb = tb, ta  # a one-term side goes first
     if len(ta) == 1:
         ea, ca = ta[0]
+        if ca == 1 and not ea:
+            return tb  # times one, as in every division by a surinteger
         return tuple((_exp_sum(ea, eb), ca * cb) for eb, cb in tb)
-    if ta and tb and ta[0][0].is_finite and tb[0][0].is_finite:
-        ib = [(e[0][1] if e else 0, c) for e, c in tb]
+    ia = _int_terms(ta)
+    ib = ia and _int_terms(tb)
+    if ib:
         sums: dict = {}
-        for e, ca in ta:
-            i = e[0][1] if e else 0
+        for i, ca in ia:
             for j, cb in ib:
                 k = i + j
                 sums[k] = sums.get(k, 0) + ca * cb

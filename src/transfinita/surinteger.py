@@ -19,7 +19,15 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import NOT_CYCLIC, InvalidLambda, Undefined
-from .natural import ClosureKind, _convolve_terms, _merge_terms, is_closure_number
+from .natural import (
+    ClosureKind,
+    _convolve_terms,
+    _exp_diff,
+    _exp_min,
+    _int_terms,
+    _merge_terms,
+    is_closure_number,
+)
 from .ordinal import (
     EQ,
     GT,
@@ -28,7 +36,7 @@ from .ordinal import (
     Ordinal,
     validate as validate_ordinal,
 )
-from .ordinal import _binary_pow, _encode_terms, _Frozen, _set
+from .ordinal import _binary_pow, _encode_terms, _finite, _Frozen, _set
 from .ordinal import _make as _make_ordinal
 
 
@@ -43,7 +51,7 @@ class SurInteger:
     def __init__(self, value: int = 0):
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"SurInteger() takes an int, got {value!r}")
-        self.terms = ((ZERO, value),) if value else ()
+        _set(self, "terms", ((ZERO, value),) if value else ())
 
     @staticmethod
     def from_terms(terms) -> "SurInteger":
@@ -84,10 +92,25 @@ class SurInteger:
     def __repr__(self) -> str:
         return f"SurInteger[{surinteger_str(self)}]"
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _make, (self.terms,)
+
+
+# the slot's own setter (assignment raises) and object.__new__ as module
+# names, so that building a value looks up neither a builtin nor an attribute
+_set_terms = SurInteger.terms.__set__
+_new = object.__new__
+
 
 def _make(terms: tuple) -> SurInteger:
-    a = SurInteger.__new__(SurInteger)
-    a.terms = terms
+    a = _new(SurInteger)
+    _set_terms(a, terms)
     return a
 
 
@@ -228,6 +251,122 @@ def content(*values: SurInteger) -> int:
     """Positive gcd of all coefficients of all the values (0 when every
     value is zero)."""
     return gcd(*[c for a in values for _, c in a.terms])
+
+
+def _value_at(ts, x: int, m=None) -> int:
+    """The value at the integer x, mod m when m is given, of a polynomial in
+    w as ``_int_terms`` pairs, by Horner's rule: evaluation is a ring map
+    Z[w] -> Z."""
+    v, p = 0, ts[0][0]
+    for k, c in ts:
+        v = v * pow(x, p - k, m) + c
+        if m:
+            v %= m
+        p = k
+    return v * pow(x, p, m) % m if m else v * x**p
+
+
+def _digits(v: int, x: int) -> list:
+    """The polynomial whose coefficients are the balanced base-x digits of
+    v, as ``_int_terms`` pairs."""
+    ts, k, half = [], 0, x // 2
+    while v:
+        v, c = divmod(v, x)
+        if c > half:
+            c -= x
+            v += 1
+        if c:
+            ts.append((k, c))
+        k += 1
+    ts.reverse()
+    return ts
+
+
+def _from_ints(ts) -> SurInteger:
+    return _make(tuple([(_finite(k), c) for k, c in ts]))
+
+
+def _shared(a: SurInteger, b: SurInteger) -> tuple:
+    """(g, a/g, b/g) for g the integer content and the monomial that the
+    nonzero a and b share; the monomial is the componentwise min over every
+    exponent, from the two last ones, and a constant term ends the walk."""
+    k = content(a, b)
+    m = _exp_min(a.terms[-1][0], b.terms[-1][0])
+    if m:
+        for e, _ in a.terms[:-1] + b.terms[:-1]:
+            m = _exp_min(m, e)
+            if not m:
+                break
+    if m:
+        a = _make(tuple([(_exp_diff(e, m), c // k) for e, c in a.terms]))
+        b = _make(tuple([(_exp_diff(e, m), c // k) for e, c in b.terms]))
+    elif k == 1:
+        return S_ONE, a, b
+    else:
+        a = _make(tuple([(e, c // k) for e, c in a.terms]))
+        b = _make(tuple([(e, c // k) for e, c in b.terms]))
+    return _make(((m, k),)), a, b
+
+
+# the heuristic gcd's tries, and the most bits a value at xi may take per bit
+# of the two operands before a sparse pair of high degree keeps the shared part
+_GCD_TRIES = 6
+_GCD_SIZE = 64
+
+
+def si_gcd(a: SurInteger, b: SurInteger) -> tuple:
+    """(g, a/g, b/g) for nonzero a and b and a common divisor g with a
+    positive leading coefficient: their gcd when both are polynomials in w,
+    else the integer content and monomial they share.
+
+    For polynomials, what is left after that shared part goes through the
+    heuristic gcd (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989):
+    evaluate both at an integer xi >= 2*|a| + 2 or >= 2*|b| + 2, with |.| the
+    largest coefficient, take the integer gcd h, read g from the balanced
+    base-xi digits of h and the cofactors from those of a(xi)/g(xi), and
+    keep them only if they multiply back to a and b, which makes g the gcd.
+    An h of one digit proves the pair coprime at once: a common factor of
+    degree d would be worth more than (xi/2)^d at xi.  A failed try grows
+    xi.  After the last try, or when the values would dwarf a sparse pair of
+    high degree, g stays the shared part, still a common divisor.
+    """
+    g, a, b = _shared(a, b)
+    ta, tb = _int_terms(a.terms), _int_terms(b.terms)
+    if ta is None or tb is None or len(ta) < 2 or len(tb) < 2:
+        return g, a, b
+    # the proof needs xi >= 2*|.| + 2 for one of the pair, here b; 16 times
+    # that keeps a stray common factor of the two values from spoiling the
+    # digits, so one try mostly does
+    xi = 32 * max([abs(c) for _, c in tb]) + 2
+    size = max(ta[0][0], tb[0][0]) * xi.bit_length()  # the bits of a value
+    if size > _GCD_SIZE * (len(ta) + len(tb)) and size > _GCD_SIZE * sum(
+        c.bit_length() for _, c in ta + tb
+    ):
+        return g, a, b
+    for _ in range(_GCD_TRIES):
+        va, vb = _value_at(ta, xi), _value_at(tb, xi)
+        h = gcd(va, vb)
+        if h <= xi // 2:
+            return g, a, b
+        # a dividing b: xi is sized from b alone, so a's digits need not be
+        # h's, and the general path below could fail where this holds
+        if h == va and ta[0][1] > 0:
+            cb = _from_ints(_digits(vb // h, xi))
+            if _convolve_terms(a.terms, cb.terms) == b.terms:
+                return (a if g is S_ONE else si_mul(g, a)), S_ONE, cb
+        tg = _digits(h, xi)
+        k = gcd(*[c for _, c in tg])
+        if tg[0][1] < 0:
+            k = -k
+        if k != 1:  # h / k still divides both values
+            h //= k
+            tg = [(e, c // k) for e, c in tg]
+        d = _from_ints(tg)
+        ca, cb = _from_ints(_digits(va // h, xi)), _from_ints(_digits(vb // h, xi))
+        if _convolve_terms(d.terms, ca.terms) == a.terms and _convolve_terms(d.terms, cb.terms) == b.terms:
+            return (d if g is S_ONE else si_mul(g, d)), ca, cb
+        xi = xi * 73794 // 27011  # about xi * (1 + sqrt(3))
+    return g, a, b
 
 
 def surinteger_str(a: SurInteger) -> str:

@@ -3,13 +3,17 @@
 A surrational is a numerator/denominator pair with strictly positive
 denominator.  Equality and order never need a canonical form: both are
 decided by cross-multiplication in the surinteger ring, which is exact and
-total.  Reduction is best-effort only.  The ring is Z[x_z], polynomials in
-one variable x_z = w^(w^z) per exponent z, so gcds exist, but :func:`reduce`
-does not compute one: it divides out what it can find (integer content, a
-shared monomial, one side dividing the other, or two proportional sides,
-whose value is their integer ratio), and the ``reduced`` flag
-records that this ran, not that the pair is coprime.  So equal values can
-print different text.  Exponents are monomials in the x_z, and their gcd and
+total.  The ring is Z[x_z], polynomials in one variable x_z = w^(w^z) per
+exponent z, so gcds exist.  :func:`q_add` adds by Henrici's method over
+``surinteger.si_gcd``, so a sum of two fractions in lowest terms is in
+lowest terms again whenever ``si_gcd`` is exact, which it is for
+polynomials in w short of sparse ones of high degree.  Products and
+quotients are reduced best-effort only: they, and :func:`reduce`, divide
+out what they can find (integer content, a shared monomial, and in
+``reduce`` one side dividing the other or two proportional sides, whose
+value is their integer ratio), and the ``reduced`` flag records that
+``reduce`` ran, not that the pair is coprime.  So equal values can print
+different text.  Exponents are monomials in the x_z, and their gcd and
 quotient are ``natural._exp_min`` and ``_exp_diff``.
 
 The field truncated at omega is the ordinary rationals and is the only
@@ -22,19 +26,22 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import NO_WITNESS, NOT_DIVISIBLE, DivisionByZero, Undefined
-from .natural import _exp_diff, _exp_min
+from .natural import _exp_diff, _int_terms
 from .ordinal import LT, Ordinal, _encode_terms
 from .surinteger import (
     S_ONE,
     S_ZERO,
     SurInteger,
     _make,
-    content,
+    _new,
+    _shared,
+    _value_at,
     in_lambda_ring,
     neg,
     si_abs,
     si_add,
     si_compare,
+    si_gcd,
     si_mul,
     si_scale,
     si_sub,
@@ -56,13 +63,13 @@ class SurRational:
             num = SurInteger(num)
         if isinstance(den, int):
             den = SurInteger(den)
-        if den.is_zero:
+        if not den.terms:
             raise DivisionByZero("zero denominator")
         if den.terms[0][1] < 0:  # the leading coefficient carries the sign
             num, den = neg(num), neg(den)
-        self.num = num
-        self.den = den
-        self.reduced = reduced
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_reduced(self, reduced)
 
     @property
     def is_zero(self) -> bool:
@@ -79,6 +86,33 @@ class SurRational:
 
     def __hash__(self) -> int:
         return hash(("q", self.num, self.den))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _fraction, (self.num, self.den, self.reduced)
+
+
+# the slots' own setters (assignment raises), quicker than _set
+_set_num, _set_den, _set_reduced = (
+    SurRational.num.__set__,
+    SurRational.den.__set__,
+    SurRational.reduced.__set__,
+)
+
+
+def _fraction(num: SurInteger, den: SurInteger, reduced: bool = False) -> SurRational:
+    # a SurRational from a denominator known to lead with a positive
+    # coefficient, without the checks of __init__
+    q = _new(SurRational)
+    _set_num(q, num)
+    _set_den(q, den)
+    _set_reduced(q, reduced)
+    return q
 
 
 Q_ZERO = SurRational(S_ZERO)
@@ -97,12 +131,25 @@ def q_compare(p: SurRational, q: SurRational) -> int:
 
 
 def q_add(p: SurRational, q: SurRational) -> SurRational:
-    num = si_add(si_mul(p.num, q.den), si_mul(p.den, q.num))
-    return _light_reduce(num, si_mul(p.den, q.den))
+    """Henrici's sum (Knuth, TAOCP 2, 4.5.1): for a/b + c/d with g a common
+    divisor of b and d, t = a*(d/g) + c*(b/g) and g2 = gcd(t, g), the sum
+    is (t/g2) / ((b/g) * (d/g2)).  Exact for any such g; in lowest terms
+    when the summands are and g = gcd(b, d), which ``si_gcd`` finds for
+    polynomials in w.  Nothing more is reduced, so summands not in lowest
+    terms can pass that on: 2/4 + 1/3 is 10/12."""
+    g, bp, dp = si_gcd(p.den, q.den)
+    if g == S_ONE:
+        num = si_add(si_mul(p.num, q.den), si_mul(q.num, p.den))
+        return _fraction(num, si_mul(p.den, q.den)) if num.terms else Q_ZERO
+    t = si_add(si_mul(p.num, dp), si_mul(q.num, bp))
+    if not t.terms:
+        return Q_ZERO
+    _, t, gq = si_gcd(t, g)
+    return _fraction(t, si_mul(bp, si_mul(dp, gq)))
 
 
 def q_neg(p: SurRational) -> SurRational:
-    return SurRational(neg(p.num), p.den, reduced=p.reduced)
+    return _fraction(neg(p.num), p.den, p.reduced)
 
 
 def q_sub(p: SurRational, q: SurRational) -> SurRational:
@@ -131,7 +178,7 @@ def q_div(p: SurRational, q: SurRational) -> SurRational:
 
 
 def q_abs(p: SurRational) -> SurRational:
-    return SurRational(si_abs(p.num), p.den, reduced=p.reduced)
+    return _fraction(si_abs(p.num), p.den, p.reduced)
 
 
 def q_from_int(n: int) -> SurRational:
@@ -139,27 +186,14 @@ def q_from_int(n: int) -> SurRational:
 
 
 def from_surinteger(a: SurInteger) -> SurRational:
-    return SurRational(a, S_ONE, reduced=True)
+    return _fraction(a, S_ONE, True)
 
 
 def _light_reduce(num: SurInteger, den: SurInteger) -> SurRational:
     # the cheap half of reduce(): shared integer content and shared monomial
     if num.is_zero:
-        return SurRational(S_ZERO, S_ONE)
-    g = content(num, den)
-    if g > 1:
-        num = _make(tuple((e, c // g) for e, c in num.terms))
-        den = _make(tuple((e, c // g) for e, c in den.terms))
-    # the shared monomial: the componentwise min over every exponent, from
-    # the two last ones; a constant term (most pairs) ends the walk at once
-    shared = _exp_min(num.terms[-1][0], den.terms[-1][0])
-    if shared:
-        for e, _ in num.terms[:-1] + den.terms[:-1]:
-            shared = _exp_min(shared, e)
-            if not shared:
-                return SurRational(num, den)
-        num = _make(tuple((_exp_diff(e, shared), c) for e, c in num.terms))
-        den = _make(tuple((_exp_diff(e, shared), c) for e, c in den.terms))
+        return Q_ZERO
+    _, num, den = _shared(num, den)
     return SurRational(num, den)
 
 
@@ -176,6 +210,15 @@ def exact_divide(a: SurInteger, b: SurInteger):
         raise DivisionByZero("exact division by zero")
     if a.is_zero:
         return S_ZERO
+    # b | a in Z[w] makes b(x) | a(x) for every integer x, so a few small x
+    # refuse most non-divisors before the division runs term by term; b of
+    # degree up to 1,000 keeps every residue under 3,000 bits
+    ta, tb = _int_terms(a.terms), _int_terms(b.terms)
+    if ta and tb and len(tb) > 1 and tb[0][0] <= 1000:
+        for x in (2, 3, 5, 7):
+            m = abs(_value_at(tb, x))
+            if m > 1 and _value_at(ta, x, m):
+                return NOT_DIVISIBLE
     # natural sum is strictly monotone, so the last terms of b and c multiply
     # to the last term of b*c alone, and no term of c lies below ``low``
     (ea, ca), (el, cl) = a.terms[-1], b.terms[-1]

@@ -9,6 +9,8 @@ read as an attribute somewhere in ``src``, ``tests`` or ``bench``.  The
 parser, which folds constants, imports only ``ordinal`` and ``natural``,
 and importing the CLI loads none of the modules that start-up can do
 without.
+sympy serves the tests as a reference and no module of the package imports
+it.
 ``expr`` moves values along the numeric tower through its tables, never by
 an ``isinstance`` test on a tower type.  Only ``natural`` reads an exponent
 as a monomial: it alone defines the ``_exp_*`` operations, and neither
@@ -227,3 +229,20 @@ def test_monomial_operations_live_in_natural():
             for alias in node.names
         }
         assert not from_ordinal & {"_make", "_finite"}, mod
+
+
+def test_no_module_imports_sympy():
+    # sympy is the tests' reference for gcds; the library needs only the
+    # standard library
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "sympy" or n.startswith("sympy.") for n in names):
+                importers.append(f"{path.stem}:{node.lineno}")
+    assert importers == []

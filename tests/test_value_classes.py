@@ -203,3 +203,45 @@ class TestCutChecks:
         assert RootClassification("irrational").witness is None
         assert Diagnostic("x", 1, 1).expected == ()
         assert EvalContext().max_digits == 10**6
+
+
+class TestTowerValues:
+    """SurInteger and SurRational are hashed by their fields, so they refuse
+    assignment like the classes above, and copy and pickle to equal values;
+    a pickled fraction keeps its ``reduced`` flag."""
+
+    VALUES = [
+        (SurInteger(0), ("terms",), SurInteger(7)),
+        (SurInteger.from_terms(((OMEGA, 2), (Ordinal(0), -3))), ("terms",), SurInteger(7)),
+        (SurRational(-2, 3), ("num", "den", "reduced"), SurRational(5, 7, reduced=True)),
+        (SurRational(o("w + 1"), o("w*2"), reduced=True), ("num", "den", "reduced"), _Q2),
+    ]
+
+    @pytest.mark.parametrize("value,fields,other", VALUES, ids=str)
+    def test_assignment_and_deletion_raise(self, value, fields, other):
+        before = hash(value)
+        for field in fields:
+            old = getattr(value, field)
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(value, field, getattr(other, field))
+            with pytest.raises(AttributeError, match="cannot delete"):
+                delattr(value, field)
+            assert getattr(value, field) is old
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert hash(value) == before
+
+    def test_a_hashed_fraction_stays_findable(self):
+        q = SurRational(1, 2)
+        table = {q: "half"}
+        with pytest.raises(AttributeError):
+            q.num = SurInteger(5)
+        assert table[SurRational(1, 2)] == "half"
+
+    @pytest.mark.parametrize("value,fields,_other", VALUES, ids=str)
+    def test_copies_and_pickles(self, value, fields, _other):
+        pickled = (pickle.loads(pickle.dumps(value, p)) for p in (2, pickle.HIGHEST_PROTOCOL))
+        for back in (copy.copy(value), copy.deepcopy(value), *pickled):
+            assert type(back) is type(value)
+            assert all(getattr(back, f) == getattr(value, f) for f in fields)
+            assert back == value and hash(back) == hash(value)
