@@ -92,7 +92,6 @@ from .surrational import (
     q_mul,
     q_neg,
     q_sub,
-    reduce,
 )
 from .cuts import (
     CX_I,

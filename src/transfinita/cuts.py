@@ -8,12 +8,12 @@ Membership is a single exact surinteger inequality, so it is decidable even
 though the cut itself is an infinite set.
 
 Root cuts classify as surrational (an exact n-th root exists, returned as a
-witness) or irrational.  The decision is structural, on the radicand that
-``surrational.reduce`` leaves: integer sides use exact integer roots,
-monomial sides the monomial root of the exponent (``natural._exp_root``)
-and the root of the coefficient.  ``reduce`` turns proportional sides into
-their integer ratio, so the answer is ``inconclusive`` exactly when a side
-keeps more than one term; it is never a guess.
+witness) or irrational.  The decision is structural, on the radicand as
+given: it has a verdict exactly when it is a ratio of two monomials, which one
+product of each side with the other's leading term tests, and then by the
+monomial root of each exponent (``natural._exp_root``) and the integer root
+of each coefficient.  Any other radicand leaves the cut ``inconclusive``; the
+answer is never a guess.
 
 The Gaussian extension is the plain pair construction with the textbook
 formulas; over an ordered field they make every nonzero element invertible.
@@ -24,11 +24,12 @@ from __future__ import annotations
 from math import isqrt
 
 from .errors import DivisionByZero, OutOfField, Undefined
-from .natural import _exp_root
+from .natural import _convolve_terms, _exp_root
 from .ordinal import DEFAULT_MAX_DIGITS, LT, Ordinal, _check_pow_digits, _Frozen, _set
 from .surinteger import (
     SurInteger,
     _make as _make_si,
+    _shared,
     check_lambda,
     si_compare,
     si_mul,
@@ -45,7 +46,6 @@ from .surrational import (
     q_mul,
     q_neg,
     q_sub,
-    reduce as q_reduce,
 )
 
 
@@ -137,41 +137,36 @@ def _int_nth_root(v: int, n: int) -> int:
 
 
 def _si_nth_root(a: SurInteger, n: int):
-    """(root, decided): exact n-th root when ``a`` is an integer or a single
-    monomial, decided negatively when the leading term rules a root out,
-    undecided otherwise."""
-    if a.is_zero:
-        return SurInteger(0), True
-    if len(a.terms) != 1:
-        return None, False
-    e, c = a.terms[0]
-    if c < 0 and n % 2 == 0:
-        return None, True
+    """Exact n-th root of the monomial ``a`` with a positive coefficient, or
+    None when it has none."""
+    ((e, c),) = a.terms
     # the n-th power of any value leads with n times its leading exponent,
     # so e needs a monomial n-th root and c an integer one
-    root_c, root_e = _int_nth_root(abs(c), n), _exp_root(e, n)
-    if root_c**n != abs(c) or root_e is None:
-        return None, True
-    return _make_si(((root_e, root_c if c > 0 else -root_c),)), True
+    root_c, root_e = _int_nth_root(c, n), _exp_root(e, n)
+    if root_c**n != c or root_e is None:
+        return None
+    return _make_si(((root_e, root_c),))
 
 
 def classify_root_cut(cut: RootCut) -> RootClassification:
     """Decide whether the root cut sits at an exact n-th root.
 
     A returned witness p always satisfies ``p^n == q`` up to value equality.
-    Both verdicts come from the leading-term analysis of the reduced
-    radicand's two sides, which decides integers and monomials with no
-    bound; a side with more than one term leaves the cut ``inconclusive``.
+    The radicand q = num/den is a ratio of two monomials m1/m2 exactly when
+    ``num * lead(den) == den * lead(num)``: num*m2 == den*m1 forces
+    m1/m2 = lead(num)/lead(den).  Then q has an n-th root exactly when both
+    monomials of that ratio in lowest terms have one, whatever their size or
+    n; any other radicand leaves the cut ``inconclusive``.
     """
-    q = q_reduce(cut.q)
-    rn, dec_n = _si_nth_root(q.num, cut.n)
-    rd, dec_d = _si_nth_root(q.den, cut.n)
-    if not (dec_n and dec_d):
+    num, den, n = cut.q.num.terms, cut.q.den.terms, cut.n
+    if _convolve_terms(num, den[:1]) != _convolve_terms(den, num[:1]):
         return RootClassification("inconclusive")
+    _, m1, m2 = _shared(_make_si(num[:1]), _make_si(den[:1]))
+    rn, rd = _si_nth_root(m1, n), _si_nth_root(m2, n)
     if rn is None or rd is None:
         return RootClassification("irrational")
     witness = SurRational(rn, rd)
-    assert q_eq(_q_pow(witness, cut.n), q)
+    assert q_eq(_q_pow(witness, n), cut.q)
     return RootClassification("surrational", witness)
 
 

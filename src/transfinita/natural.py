@@ -17,7 +17,7 @@ escape from below.  Two families are covered:
 * two-sided closure classes of the natural operations (``NAT_ADD``,
   ``NAT_MUL``): sums/products of two smaller ordinals stay smaller.
 
-Structural case tables (decided by the shape of the normal form, small cases
+Structural case tables (settled by the shape of the normal form, small cases
 by direct evaluation of the defining condition over all smaller ordinals):
 
 ===========  ==================================================

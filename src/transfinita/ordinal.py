@@ -26,9 +26,10 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Base of the small immutable value classes: ``BaseExpansion``,
+    """Base of the immutable value classes: ``BaseExpansion``,
     ``EvalContext``, ``CoordinateForm``, ``Diagnostic``, ``CutHandle``,
-    the two cuts, ``RootClassification`` and ``GaussianSurRational``.
+    ``SurRational``, the two cuts, ``RootClassification`` and
+    ``GaussianSurRational``.
 
     A subclass names its fields in ``__slots__``, in the order its
     ``__init__`` takes them, and sets each with ``_set``.  The base gives

@@ -178,7 +178,7 @@ def si_sub(a: SurInteger, b: SurInteger) -> SurInteger:
 
 
 def si_compare(a: SurInteger, b: SurInteger) -> int:
-    """Total order: decided at the first index where the term lists differ;
+    """Total order: settled at the first index where the term lists differ;
     a missing term counts as coefficient zero at that exponent."""
     ta, tb = a.terms, b.terms
     i = 0

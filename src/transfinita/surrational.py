@@ -2,19 +2,16 @@
 
 A surrational is a numerator/denominator pair with strictly positive
 denominator.  Equality and order never need a canonical form: both are
-decided by cross-multiplication in the surinteger ring, which is exact and
+settled by cross-multiplication in the surinteger ring, which is exact and
 total.  The ring is Z[x_z], polynomials in one variable x_z = w^(w^z) per
 exponent z, so gcds exist.  :func:`q_add` adds by Henrici's method over
 ``surinteger.si_gcd``, so a sum of two fractions in lowest terms is in
 lowest terms again whenever ``si_gcd`` is exact, which it is for
 polynomials in w short of sparse ones of high degree.  Products and
-quotients are reduced best-effort only: they, and :func:`reduce`, divide
-out what they can find (integer content, a shared monomial, and in
-``reduce`` one side dividing the other or two proportional sides, whose
-value is their integer ratio), and the ``reduced`` flag records that
-``reduce`` ran, not that the pair is coprime.  So equal values can print
-different text.  Exponents are monomials in the x_z, and their gcd and
-quotient are ``natural._exp_min`` and ``_exp_diff``.
+quotients divide out only their shared integer content and monomial
+(``surinteger._shared``), so equal values can print different text.
+Exponents are monomials in the x_z, and their gcd and quotient are
+``natural._exp_min`` and ``_exp_diff``.
 
 The field truncated at omega is the ordinary rationals and is the only
 Archimedean stage of the tower: :func:`archimedean_witness` finds the
@@ -23,11 +20,9 @@ bounding multiple there and reports NoWitness against, say, (1, omega).
 
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import NO_WITNESS, NOT_DIVISIBLE, DivisionByZero, Undefined
 from .natural import _exp_diff, _int_terms
-from .ordinal import LT, Ordinal, _encode_terms
+from .ordinal import LT, Ordinal, _encode_terms, _Frozen
 from .surinteger import (
     S_ONE,
     S_ZERO,
@@ -48,17 +43,17 @@ from .surinteger import (
 )
 
 
-class SurRational:
+class SurRational(_Frozen):
     """Fraction of surintegers with positive denominator.
 
-    ``reduced`` marks that the best-effort reduction strategy has been run
-    to completion on this representation.  Mixed-sign input denominators are
-    normalised at construction by negating both components.
+    Mixed-sign input denominators are normalised at construction by
+    negating both components.  Equality and hash are structural; value
+    equality is :func:`q_eq`.
     """
 
-    __slots__ = ("num", "den", "reduced")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den=S_ONE, *, reduced: bool = False):
+    def __init__(self, num, den=S_ONE):
         if isinstance(num, int):
             num = SurInteger(num)
         if isinstance(den, int):
@@ -69,7 +64,6 @@ class SurRational:
             num, den = neg(num), neg(den)
         _set_num(self, num)
         _set_den(self, den)
-        _set_reduced(self, reduced)
 
     @property
     def is_zero(self) -> bool:
@@ -78,46 +72,23 @@ class SurRational:
     def __repr__(self) -> str:
         return f"SurRational[{surrational_str(self)}]"
 
-    # structural equality only; value equality is q_eq
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SurRational):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash(("q", self.num, self.den))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return _fraction, (self.num, self.den, self.reduced)
-
 
 # the slots' own setters (assignment raises), quicker than _set
-_set_num, _set_den, _set_reduced = (
-    SurRational.num.__set__,
-    SurRational.den.__set__,
-    SurRational.reduced.__set__,
-)
+_set_num, _set_den = SurRational.num.__set__, SurRational.den.__set__
 
 
-def _fraction(num: SurInteger, den: SurInteger, reduced: bool = False) -> SurRational:
+def _fraction(num: SurInteger, den: SurInteger) -> SurRational:
     # a SurRational from a denominator known to lead with a positive
     # coefficient, without the checks of __init__
     q = _new(SurRational)
     _set_num(q, num)
     _set_den(q, den)
-    _set_reduced(q, reduced)
     return q
 
 
 Q_ZERO = SurRational(S_ZERO)
 Q_ONE = SurRational(S_ONE)
-Q_HALF = SurRational(SurInteger(1), SurInteger(2), reduced=True)
+Q_HALF = SurRational(1, 2)
 
 
 def q_eq(p: SurRational, q: SurRational) -> bool:
@@ -135,7 +106,7 @@ def q_add(p: SurRational, q: SurRational) -> SurRational:
     divisor of b and d, t = a*(d/g) + c*(b/g) and g2 = gcd(t, g), the sum
     is (t/g2) / ((b/g) * (d/g2)).  Exact for any such g; in lowest terms
     when the summands are and g = gcd(b, d), which ``si_gcd`` finds for
-    polynomials in w.  Nothing more is reduced, so summands not in lowest
+    polynomials in w.  Nothing more is divided out, so summands not in lowest
     terms can pass that on: 2/4 + 1/3 is 10/12."""
     g, bp, dp = si_gcd(p.den, q.den)
     if g == S_ONE:
@@ -149,7 +120,7 @@ def q_add(p: SurRational, q: SurRational) -> SurRational:
 
 
 def q_neg(p: SurRational) -> SurRational:
-    return _fraction(neg(p.num), p.den, p.reduced)
+    return _fraction(neg(p.num), p.den)
 
 
 def q_sub(p: SurRational, q: SurRational) -> SurRational:
@@ -168,7 +139,7 @@ def q_inv(p: SurRational) -> SurRational:
     """
     if p.num.is_zero:
         return Q_ZERO
-    return SurRational(p.den, p.num, reduced=p.reduced)
+    return SurRational(p.den, p.num)
 
 
 def q_div(p: SurRational, q: SurRational) -> SurRational:
@@ -178,19 +149,19 @@ def q_div(p: SurRational, q: SurRational) -> SurRational:
 
 
 def q_abs(p: SurRational) -> SurRational:
-    return _fraction(si_abs(p.num), p.den, p.reduced)
+    return _fraction(si_abs(p.num), p.den)
 
 
 def q_from_int(n: int) -> SurRational:
-    return SurRational(SurInteger(n), S_ONE, reduced=True)
+    return _fraction(SurInteger(n), S_ONE)
 
 
 def from_surinteger(a: SurInteger) -> SurRational:
-    return _fraction(a, S_ONE, True)
+    return _fraction(a, S_ONE)
 
 
 def _light_reduce(num: SurInteger, den: SurInteger) -> SurRational:
-    # the cheap half of reduce(): shared integer content and shared monomial
+    # shared integer content and shared monomial divided out
     if num.is_zero:
         return Q_ZERO
     _, num, den = _shared(num, den)
@@ -240,28 +211,6 @@ def exact_divide(a: SurInteger, b: SurInteger):
     return q if si_mul(b, q) == a else NOT_DIVISIBLE
 
 
-def reduce(p: SurRational) -> SurRational:
-    """Best-effort canonical form: shared content, shared monomial, then one
-    side exactly dividing the other, then proportional sides, whose value is
-    the ratio of their leading coefficients.  Always value-equal to the
-    input."""
-    base = _light_reduce(p.num, p.den)
-    num, den = base.num, base.den
-    if num.is_zero:
-        return SurRational(S_ZERO, S_ONE, reduced=True)
-    c = exact_divide(num, den)
-    if isinstance(c, SurInteger):
-        return SurRational(c, S_ONE, reduced=True)
-    c = exact_divide(den, num)
-    if isinstance(c, SurInteger):
-        return SurRational(S_ONE, c, reduced=True)
-    a, b = num.terms[0][1], den.terms[0][1]
-    if si_scale(den, a) == si_scale(num, b):
-        g = gcd(a, b)
-        return SurRational(a // g, b // g, reduced=True)
-    return SurRational(num, den, reduced=True)
-
-
 def in_lambda_field(p: SurRational, lam: Ordinal) -> bool:
     """Membership in the field truncated at ``lam``: both components in the
     matching ring."""
@@ -303,15 +252,13 @@ def midpoint(p: SurRational, q: SurRational) -> SurRational:
 
 
 def _encode(p: SurRational, memo: dict) -> tuple:
-    """The JSON members ``"num": ..., "den": ..., "reduced": ...`` and the
-    canonical text ``num / den`` of ``p``, from one walk sharing ``memo``;
-    the denominator is omitted from the text when 1."""
+    """The JSON members ``"num": ..., "den": ...`` and the canonical text
+    ``num / den`` of ``p``, from one walk sharing ``memo``; the denominator
+    is omitted from the text when 1.  The member ``"reduced": false`` stays
+    constant, so that readers of schema "1" still find it."""
     num_j, num_s = _encode_terms(p.num.terms, memo)
     den_j, den_s = _encode_terms(p.den.terms, memo)
-    fields = (
-        f'"num": {{"terms": {num_j}}}, "den": {{"terms": {den_j}}}, '
-        f'"reduced": {"true" if p.reduced else "false"}'
-    )
+    fields = f'"num": {{"terms": {num_j}}}, "den": {{"terms": {den_j}}}, "reduced": false'
     if p.den == S_ONE:
         return fields, num_s
     if len(p.num.terms) > 1:

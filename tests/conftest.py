@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -106,3 +109,32 @@ def surrationals(depth: int = 1, max_terms: int = 2, max_coeff: int = 9):
     num = surintegers(depth, max_terms, max_coeff)
     den = surintegers(depth, max_terms, max_coeff).filter(lambda a: not a.is_zero)
     return st.tuples(num, den).map(lambda nd: SurRational(nd[0], nd[1]))
+
+
+def _ref_exp_diff(er, eb):
+    """Reference exponent quotient on dicts: er - eb read as monomials in
+    the x_z (w^(w^z*k + ...) is x_z^k * ...), or None when eb does not
+    divide er."""
+    left = dict(er)
+    for e, k in eb:
+        have = left.get(e, 0)
+        if have < k:
+            return None
+        if have == k:
+            del left[e]
+        else:
+            left[e] = have - k
+    exps = sorted(left, reverse=True)
+    return _make_ordinal(tuple((e, left[e]) for e in exps))
+
+
+def seconds_in_child(code: str) -> float:
+    """Run ``code`` in a fresh interpreter and return the seconds it took
+    there; a child still running after 30 s fails the test instead of
+    holding up the suite."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = f"import time\nfrom transfinita import *\nt = time.perf_counter()\n{code}\nprint(time.perf_counter() - t)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout.split()[-1])

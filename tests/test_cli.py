@@ -366,8 +366,8 @@ class TestBatch:
     def test_root_degrees_larger_than_the_radicand(self, tmp_path, capsys):
         # at n = 10^18 the first line was an internal MemoryError from
         # building 2**(n-1), and the second did not end: it built 24**n
-        # for a bounded search of roots i/j.  Proportional radicands reduce
-        # to their integer ratio, so the last three are decided exactly, on
+        # for a bounded search of roots i/j.  Proportional radicands are a
+        # ratio of two integers, so the last three are decided exactly, on
         # either side of that old bound of 24.
         n = 10**18
         recs = self.batch(

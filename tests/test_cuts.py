@@ -17,6 +17,7 @@ from transfinita import (
     DivisionByZero,
     GaussianSurRational,
     InvalidLambda,
+    Ordinal,
     OutOfField,
     RationalCut,
     ResourceExceeded,
@@ -34,8 +35,9 @@ from transfinita import (
     q_eq,
     q_mul,
 )
-from transfinita.cuts import _int_nth_root, _q_pow, _si_nth_root, check_root
-from transfinita.surinteger import S_ONE, S_ZERO, SurInteger, si_add, si_scale
+from transfinita.cuts import _int_nth_root, _q_pow, check_root
+from transfinita.natural import _exp_root
+from transfinita.surinteger import S_ONE, S_ZERO, SurInteger, _make as _make_si, si_add, si_mul, si_scale
 from transfinita.surrational import (
     Q_ZERO,
     SurRational,
@@ -45,10 +47,16 @@ from transfinita.surrational import (
     q_from_int,
 )
 
-from conftest import o, q, si, surrationals
+from conftest import o, ordinals, q, seconds_in_child, si, surintegers, surrationals
 from random_values import random_surrational
 
 WW = None
+
+
+def _monomials():
+    # a positive monomial w^e*c whose coefficient is often a perfect power
+    coeff = st.builds(pow, st.integers(1, 12), st.integers(1, 5))
+    return st.builds(lambda e, c: _make_si(((e, c),)), ordinals(depth=2, max_coeff=10), coeff)
 
 
 def rational_cut_bump(cut: RationalCut, p: SurRational) -> SurRational:
@@ -170,6 +178,36 @@ class TestRootClassification:
         out = classify_root_cut(RootCut(q("(w^2*4) / (w^2)"), 2, WW))
         assert out.kind == "surrational" and q_eq(out.witness, q_from_int(2))
 
+    def test_a_ratio_of_monomials_behind_a_common_factor(self):
+        # reduction leaves (w^3*4 + w^2*4) / (w*9 + 9), which no side divides
+        rad = q("(w + 1)*w^2*4 / ((w + 1)*9)")
+        assert len(rad.num.terms) == 2
+        out = classify_root_cut(RootCut(rad, 2, WW))
+        assert out.kind == "surrational" and (out.witness.num, out.witness.den) == (si("w*2"), si("3"))
+
+    def test_a_long_quotient_is_not_divided_out(self):
+        # (w^1000000 - 1) / (w - 1) is a polynomial of 10^6 terms; the
+        # monomial-ratio test never forms it
+        code = (
+            "out = evaluate(parse('classify(sqrt[2]((w^1000000 - 1) / (w - 1)))'))\n"
+            "assert out.kind == 'inconclusive', out"
+        )
+        assert seconds_in_child(code) < 1
+
+    @given(
+        _monomials(),
+        _monomials(),
+        surintegers(max_terms=4).filter(lambda p: len(p.terms) > 1),
+        st.integers(2, 5),
+    )
+    @example(_make_si(((Ordinal(4), 9),)), _make_si(((Ordinal(2), 4),)), si("w + 1"), 2)
+    def test_a_common_factor_leaves_the_verdict_of_the_monomials(self, m1, m2, p, n):
+        got = classify_root_cut(RootCut(SurRational(si_mul(m1, p), si_mul(m2, p)), n, WW))
+        want = classify_root_cut(RootCut(SurRational(m1, m2), n, WW))
+        assert got.kind == want.kind != "inconclusive"
+        if want.witness is not None:
+            assert (got.witness.num, got.witness.den) == (want.witness.num, want.witness.den)
+
     @given(surrationals())
     def test_witness_soundness_on_squares(self, p):
         if q_compare(p, Q_ZERO) != GT:
@@ -181,27 +219,44 @@ class TestRootClassification:
 
 
 def _ref_reduce(p):
-    """``reduce`` before it turned proportional sides into their integer
-    ratio: the radicand the trial search ran on."""
+    """The reduction the root analysis once ran on: shared content and
+    monomial, then one side exactly dividing the other."""
     base = _light_reduce(p.num, p.den)
     num, den = base.num, base.den
     if num.is_zero:
-        return SurRational(S_ZERO, S_ONE, reduced=True)
+        return SurRational(S_ZERO, S_ONE)
     c = exact_divide(num, den)
     if isinstance(c, SurInteger):
-        return SurRational(c, S_ONE, reduced=True)
+        return SurRational(c, S_ONE)
     c = exact_divide(den, num)
     if isinstance(c, SurInteger):
-        return SurRational(S_ONE, c, reduced=True)
-    return SurRational(num, den, reduced=True)
+        return SurRational(S_ONE, c)
+    return SurRational(num, den)
+
+
+def _ref_si_nth_root(a, n):
+    """(root, decided) for one side of the reduced radicand: the exact n-th
+    root of an integer or a single monomial, decided negatively when the
+    leading term rules a root out, undecided for more than one term."""
+    if a.is_zero:
+        return SurInteger(0), True
+    if len(a.terms) != 1:
+        return None, False
+    e, c = a.terms[0]
+    if c < 0 and n % 2 == 0:
+        return None, True
+    root_c, root_e = _int_nth_root(abs(c), n), _exp_root(e, n)
+    if root_c**n != abs(c) or root_e is None:
+        return None, True
+    return _make_si(((root_e, root_c if c > 0 else -root_c),)), True
 
 
 def _trial_classify(cut, search_bound=24):
     """Reference: the structural analysis, then every i/j with i, j up to the
     bound in i-major order, the search the exact test replaced."""
     qr = _ref_reduce(cut.q)
-    rn, dec_n = _si_nth_root(qr.num, cut.n)
-    rd, dec_d = _si_nth_root(qr.den, cut.n)
+    rn, dec_n = _ref_si_nth_root(qr.num, cut.n)
+    rd, dec_d = _ref_si_nth_root(qr.den, cut.n)
     if dec_n and dec_d:
         if rn is not None and rd is not None:
             return "surrational", SurRational(rn, rd)

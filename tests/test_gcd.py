@@ -5,11 +5,6 @@ reference; on any other pair it is the shared content and monomial.
 ``q_add`` keeps sums of fractions in lowest terms when its summands are.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 import sympy
 import hypothesis.strategies as st
@@ -22,7 +17,7 @@ from transfinita.surinteger import S_ONE, _make, _shared, neg, si_gcd
 from transfinita.surrational import Q_ZERO, _light_reduce, exact_divide
 from transfinita.errors import NOT_DIVISIBLE
 
-from conftest import q, si, surintegers, surrationals
+from conftest import q, seconds_in_child, si, surintegers, surrationals
 
 X = sympy.Symbol("x")
 
@@ -41,18 +36,6 @@ def dense(max_degree: int = 5, max_coeff: int = 30):
 
 def to_sympy(a: SurInteger) -> sympy.Poly:
     return sympy.Poly(sum(c * X ** (e[0][1] if e else 0) for e, c in a.terms), X, domain="ZZ")
-
-
-def _seconds_in_child(code: str) -> float:
-    """Run ``code`` in a fresh interpreter and return the seconds it took
-    there; a child still running after 30 s fails the test instead of
-    holding up the suite."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = f"import time\nfrom transfinita import *\nt = time.perf_counter()\n{code}\nprint(time.perf_counter() - t)"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30, env=env)
-    assert done.returncode == 0, done.stderr
-    return float(done.stdout.split()[-1])
 
 
 def _up_to_sign(x: SurInteger, y: SurInteger) -> bool:
@@ -110,7 +93,7 @@ class TestGcd:
             "from transfinita.surinteger import si_gcd\n"
             "si_gcd(*(evaluate(parse(t)) for t in ('w^2000000*3 - 3', 'w^1000001*3 - w*3')))"
         )
-        assert _seconds_in_child(code) < 1
+        assert seconds_in_child(code) < 1
         assert _check_gcd(si("w^2000000*3 - 3"), si("w^1000001*3 - w*3")) == SurInteger(3)
 
 
@@ -173,7 +156,7 @@ class TestHenriciSum:
 
     def test_sparse_high_degree_denominators_end_promptly(self):
         text = "(1 / (w^1000000 + 1)) + (1 / (w^999999 + w))"
-        assert _seconds_in_child(f"evaluate(parse({text!r}))") < 1
+        assert seconds_in_child(f"evaluate(parse({text!r}))") < 1
         assert print_canonical(evaluate(parse(text))) == (
             "(w^1000000 + w^999999 + w + 1) / (w^1999999 + w^1000001 + w^999999 + w)"
         )
@@ -184,7 +167,7 @@ class TestDivisionPretest:
         # the last terms allow a quotient, so long division would emit a
         # million terms before the remainder shows; w = 5 refuses it
         text = "(w^1000000 + 1) / (w - 1) +. 1"
-        assert _seconds_in_child(f"try:\n    evaluate(parse({text!r}))\nexcept EvalError:\n    pass") < 1
+        assert seconds_in_child(f"try:\n    evaluate(parse({text!r}))\nexcept EvalError:\n    pass") < 1
         with pytest.raises(EvalError) as err:
             evaluate(parse(text))
         assert isinstance(err.value.origin, Undefined)

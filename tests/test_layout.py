@@ -14,7 +14,9 @@ it.
 ``expr`` moves values along the numeric tower through its tables, never by
 an ``isinstance`` test on a tower type.  Only ``natural`` reads an exponent
 as a monomial: it alone defines the ``_exp_*`` operations, and neither
-``surrational`` nor ``cuts`` builds an ordinal itself.
+``surrational`` nor ``cuts`` builds an ordinal itself.  Value classes are
+immutable through ``ordinal._Frozen``; only ``SurInteger`` refuses
+assignment with methods of its own.
 """
 
 import ast
@@ -246,3 +248,15 @@ def test_no_module_imports_sympy():
             if any(n == "sympy" or n.startswith("sympy.") for n in names):
                 importers.append(f"{path.stem}:{node.lineno}")
     assert importers == []
+
+
+def test_immutability_comes_from_frozen():
+    # every value class refuses assignment through ordinal._Frozen, except
+    # SurInteger, which keeps its own methods because its __eq__ is hot
+    defining = sorted(
+        path.stem
+        for path in SRC.glob("*.py")
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.FunctionDef) and node.name == "__setattr__"
+    )
+    assert defining == ["ordinal", "surinteger"]

@@ -39,9 +39,8 @@ from transfinita.natural import (
 from transfinita.ordinal import _FINITE_TABLE, _FINITE_TABLE_SIZE, _finite, _make, validate
 from transfinita.surinteger import validate as validate_si
 
-from conftest import _merge_surinteger, o, ordinals, polynomials
+from conftest import _merge_surinteger, _ref_exp_diff, o, ordinals, polynomials
 from random_values import random_ordinal_below
-from test_surrational import _ref_exp_diff
 
 
 def closure_counterexample(kind: ClosureKind, a: Ordinal, rng, tries: int = 40):

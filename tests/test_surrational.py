@@ -33,20 +33,30 @@ from transfinita import (
     q_mul,
     q_neg,
     parse,
-    reduce,
     si_add,
     si_mul,
 )
 from transfinita.ordinal import _make as _make_ordinal
-from transfinita.surinteger import S_ONE, S_ZERO, _make as _make_si, content, si_scale, si_sub
+from transfinita.surinteger import S_ONE, S_ZERO, _make as _make_si, content, si_sub
 from transfinita.surrational import Q_ONE, Q_ZERO, _light_reduce, q_from_int, q_sub
 
-from conftest import FINITE_EXPONENTS, o, ordinals, polynomials, q, si, surintegers, surrationals
+from conftest import (
+    FINITE_EXPONENTS,
+    _ref_exp_diff,
+    o,
+    ordinals,
+    polynomials,
+    q,
+    si,
+    surintegers,
+    surrationals,
+)
 
 
-# Reference: the dict-based monomial helpers (content, strip, min, diff) and
-# the two routines built on them, as they stood before the monomial ops were
-# merged.  Exponents read as monomials: w^(w^z*k + ...) is x_z^k * ...
+# Reference: the dict-based monomial helpers (content, strip, min; diff is
+# conftest's _ref_exp_diff) and the two routines built on them, as they stood
+# before the monomial ops were merged.  Exponents read as monomials:
+# w^(w^z*k + ...) is x_z^k * ...
 
 
 def _ref_monomial_content(a):
@@ -80,20 +90,6 @@ def _ref_min_exponent(x, y):
     out = {e: min(k, dx[e]) for e, k in y if e in dx}
     exps = sorted(out, reverse=True)
     return _make_ordinal(tuple((e, out[e]) for e in exps))
-
-
-def _ref_exp_diff(er, eb):
-    left = dict(er)
-    for e, k in eb:
-        have = left.get(e, 0)
-        if have < k:
-            return None
-        if have == k:
-            del left[e]
-        else:
-            left[e] = have - k
-    exps = sorted(left, reverse=True)
-    return _make_ordinal(tuple((e, left[e]) for e in exps))
 
 
 def _ref_light_reduce(num, den):
@@ -145,7 +141,7 @@ def _transfinite_exponents():
 
 
 def _same(got, ref):
-    return all(getattr(got, k) == getattr(ref, k) for k in ("num", "den", "reduced"))
+    return (got.num, got.den) == (ref.num, ref.den)
 
 
 class TestEquality:
@@ -251,43 +247,26 @@ def _abs(p):
 
 
 class TestReduce:
+    """The reduction that products and quotients get: shared integer
+    content and shared monomial divided out, nothing more."""
+
     def test_integer_content(self):
-        r = reduce(q("2/4"))
+        r = _light_reduce(SurInteger(2), SurInteger(4))
         assert (r.num, r.den) == (SurInteger(1), SurInteger(2))
-        assert r.reduced
 
     def test_common_monomial_and_content(self):
         p = q("(w*2) / (w*4)")
-        r = reduce(p)
-        assert q_eq(r, q("1/2"))
-        assert r.reduced
+        r = _light_reduce(si("w*2"), si("w*4"))
+        assert (r.num, r.den) == (SurInteger(1), SurInteger(2))
+        assert q_eq(r, p)
 
     def test_already_coprime(self):
-        r = reduce(q("1/w"))
+        r = _light_reduce(SurInteger(1), si("w - 0"))
         assert (r.num, r.den) == (SurInteger(1), si("w - 0"))
-
-    def test_mutual_division(self):
-        r = reduce(q("(w^2 - 1) / (w + 1)"))
-        assert (r.num, r.den) == (si("w - 1"), SurInteger(1))
 
     @given(surrationals())
     def test_value_preserved(self, p):
-        assert q_eq(reduce(p), p)
-
-    @given(
-        surintegers(),
-        st.integers(-(2**80), 2**80).filter(bool),
-        st.integers(-(2**80), 2**80).filter(bool),
-    )
-    @example(si("w + 1"), 625, 4)
-    @example(si("w^w*3 - w^2 + 7"), -6, 4)
-    def test_proportional_sides_reduce_to_their_ratio(self, p, a, b):
-        if p.is_zero:
-            return
-        g = gcd(a, b)
-        want = SurRational(a // g, b // g)
-        r = reduce(SurRational(si_scale(p, a), si_scale(p, b)))
-        assert (r.num, r.den, r.reduced) == (want.num, want.den, True)
+        assert q_eq(_light_reduce(p.num, p.den), p)
 
 
 class TestMonomialOps:
