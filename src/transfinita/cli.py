@@ -228,28 +228,30 @@ def _cmd_repl(args, ctx) -> int:
             return 0
         if not line:
             continue
+        # a command is the whole first word; any other line is an expression
+        word = line.split()[0]
+        rest = line[len(word) :]
         try:
-            if line in (":quit", ":q"):
+            if word in (":quit", ":q"):
                 return 0
-            if line == ":help":
+            if word == ":help":
                 print(_REPL_HELP)
                 continue
-            if line.startswith(":oracle"):
+            if word == ":oracle":
                 use_oracle = line.split()[-1] == "on"
                 print(f"oracle cross-check {'on' if use_oracle else 'off'}")
                 continue
-            if line.startswith(":lambda"):
-                lam = as_ordinal(evaluate(parse(line[len(":lambda") :]), env, ctx, ambient))
+            if word == ":lambda":
+                lam = as_ordinal(evaluate(parse(rest), env, ctx, ambient))
                 check_lambda(lam)  # an invalid one leaves the ambient as it was
                 ambient = lam
                 print(f"ambient lambda = {print_canonical(ambient)}")
                 continue
-            if line.startswith(":type"):
-                v = evaluate(parse(line[len(":type") :]), env, ctx, ambient)
+            if word == ":type":
+                v = evaluate(parse(rest), env, ctx, ambient)
                 print(_value_kind(v))
                 continue
-            if line.startswith(":let"):
-                rest = line[len(":let") :]
+            if word == ":let":
                 name, _, body = rest.partition("=")
                 name = name.strip()
                 if not name.isidentifier() or not body.strip():

@@ -31,8 +31,6 @@ from .surinteger import (
     _make as _make_si,
     _shared,
     check_lambda,
-    si_compare,
-    si_mul,
     si_pow,
 )
 from .surrational import (
@@ -40,9 +38,9 @@ from .surrational import (
     SurRational,
     in_lambda_field,
     q_add,
+    q_compare,
     q_div,
     q_eq,
-    q_from_int,
     q_mul,
     q_neg,
     q_sub,
@@ -91,15 +89,11 @@ def cut_member(cut, p: SurRational, max_digits: int = DEFAULT_MAX_DIGITS) -> boo
     if not in_lambda_field(p, cut.lam):
         raise OutOfField(f"{p!r} is not in the field truncated at {cut.lam!r}")
     if isinstance(cut, RationalCut):
-        lhs = si_mul(p.num, cut.q.den)
-        rhs = si_mul(p.den, cut.q.num)
-        return si_compare(lhs, rhs) == LT
+        return q_compare(p, cut.q) == LT
     # every coefficient of x^n is at most (sum of |coefficients of x|)^n
     for x in (p.num, p.den):
         _check_pow_digits(sum(abs(c) for _, c in x.terms), cut.n, max_digits)
-    lhs = si_mul(si_pow(p.num, cut.n), cut.q.den)
-    rhs = si_mul(si_pow(p.den, cut.n), cut.q.num)
-    return si_compare(lhs, rhs) == LT
+    return q_compare(_q_pow(p, cut.n), cut.q) == LT
 
 
 class RootClassification(_Frozen):
@@ -188,8 +182,8 @@ class GaussianSurRational(_Frozen):
 
 
 CX_ZERO = GaussianSurRational(Q_ZERO, Q_ZERO)
-CX_ONE = GaussianSurRational(q_from_int(1), Q_ZERO)
-CX_I = GaussianSurRational(Q_ZERO, q_from_int(1))
+CX_ONE = GaussianSurRational(SurRational(1), Q_ZERO)
+CX_I = GaussianSurRational(Q_ZERO, SurRational(1))
 
 
 def cx_eq(a: GaussianSurRational, b: GaussianSurRational) -> bool:

@@ -28,8 +28,9 @@ _set = object.__setattr__
 class _Frozen:
     """Base of the immutable value classes: ``BaseExpansion``,
     ``EvalContext``, ``CoordinateForm``, ``Diagnostic``, ``CutHandle``,
-    ``SurRational``, the two cuts, ``RootClassification`` and
-    ``GaussianSurRational``.
+    ``SurInteger`` (which keeps its own hot ``__eq__`` and ``__hash__``,
+    and a ``__reduce__`` for its int constructor), ``SurRational``, the two
+    cuts, ``RootClassification`` and ``GaussianSurRational``.
 
     A subclass names its fields in ``__slots__``, in the order its
     ``__init__`` takes them, and sets each with ``_set``.  The base gives

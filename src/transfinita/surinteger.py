@@ -5,8 +5,9 @@ nonzero integer: ``w^5*4 - w^4*2 - w^2*7 + w*3 - 1``.  Equivalently it is a
 pair of ordinary ordinals sharing no power of omega, the negative part and
 the positive part; :func:`to_coordinates`/:func:`from_coordinates` convert
 between the two views.  Addition is coefficientwise, multiplication is the
-distributive product with natural exponent sums, and the order compares the
-first term where two values disagree.
+distributive product with natural exponent sums, and the order is fixed by
+the positive cone: a < b exactly when b - a leads with a positive
+coefficient.
 
 Truncating at omega gives the ordinary integers, the unique discrete cyclic
 ring; truncating at any multiplication-closed ordinal gives one of a whole
@@ -40,7 +41,7 @@ from .ordinal import _binary_pow, _encode_terms, _finite, _Frozen, _set
 from .ordinal import _make as _make_ordinal
 
 
-class SurInteger:
+class SurInteger(_Frozen):
     """Immutable signed normal form; exponents strictly decreasing,
     coefficients nonzero integers."""
 
@@ -92,13 +93,7 @@ class SurInteger:
     def __repr__(self) -> str:
         return f"SurInteger[{surinteger_str(self)}]"
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
+    def __reduce__(self):  # __init__ takes an int, not the terms
         return _make, (self.terms,)
 
 
@@ -178,25 +173,11 @@ def si_sub(a: SurInteger, b: SurInteger) -> SurInteger:
 
 
 def si_compare(a: SurInteger, b: SurInteger) -> int:
-    """Total order: settled at the first index where the term lists differ;
-    a missing term counts as coefficient zero at that exponent."""
-    ta, tb = a.terms, b.terms
-    i = 0
-    while i < len(ta) and i < len(tb):
-        (ea, ca), (eb, cb) = ta[i], tb[i]
-        if ea == eb:
-            if ca != cb:
-                return LT if ca < cb else GT
-            i += 1
-            continue
-        if ea > eb:
-            return GT if ca > 0 else LT
-        return LT if cb > 0 else GT
-    if i < len(ta):
-        return GT if ta[i][1] > 0 else LT
-    if i < len(tb):
-        return LT if tb[i][1] > 0 else GT
-    return EQ
+    """Total order: the sign of a - b, its leading coefficient's."""
+    d = _merge_terms(a.terms, neg(b).terms)
+    if not d:
+        return EQ
+    return GT if d[0][1] > 0 else LT
 
 
 def si_abs(a: SurInteger) -> SurInteger:
@@ -208,12 +189,6 @@ def si_pow(a: SurInteger, n: int) -> SurInteger:
     if n < 0:
         raise Undefined("surinteger powers take natural exponents")
     return _binary_pow(a, n, si_mul, S_ONE)
-
-
-def si_scale(a: SurInteger, k: int) -> SurInteger:
-    if k == 0:
-        return S_ZERO
-    return _make(tuple((e, c * k) for e, c in a.terms))
 
 
 def check_lambda(lam: Ordinal) -> None:
@@ -297,14 +272,10 @@ def _shared(a: SurInteger, b: SurInteger) -> tuple:
             m = _exp_min(m, e)
             if not m:
                 break
-    if m:
-        a = _make(tuple([(_exp_diff(e, m), c // k) for e, c in a.terms]))
-        b = _make(tuple([(_exp_diff(e, m), c // k) for e, c in b.terms]))
-    elif k == 1:
+    if not m and k == 1:
         return S_ONE, a, b
-    else:
-        a = _make(tuple([(e, c // k) for e, c in a.terms]))
-        b = _make(tuple([(e, c // k) for e, c in b.terms]))
+    a = _make(tuple([(_exp_diff(e, m), c // k) for e, c in a.terms]))
+    b = _make(tuple([(_exp_diff(e, m), c // k) for e, c in b.terms]))
     return _make(((m, k),)), a, b
 
 
@@ -330,6 +301,8 @@ def si_gcd(a: SurInteger, b: SurInteger) -> tuple:
     xi.  After the last try, or when the values would dwarf a sparse pair of
     high degree, g stays the shared part, still a common divisor.
     """
+    if not (a.terms and b.terms):
+        raise Undefined("gcd needs two nonzero surintegers")
     g, a, b = _shared(a, b)
     ta, tb = _int_terms(a.terms), _int_terms(b.terms)
     if ta is None or tb is None or len(ta) < 2 or len(tb) < 2:

@@ -38,7 +38,6 @@ from .surinteger import (
     si_compare,
     si_gcd,
     si_mul,
-    si_scale,
     si_sub,
 )
 
@@ -152,10 +151,6 @@ def q_abs(p: SurRational) -> SurRational:
     return _fraction(si_abs(p.num), p.den)
 
 
-def q_from_int(n: int) -> SurRational:
-    return _fraction(SurInteger(n), S_ONE)
-
-
 def from_surinteger(a: SurInteger) -> SurRational:
     return _fraction(a, S_ONE)
 
@@ -240,7 +235,7 @@ def archimedean_witness(p: SurRational, q: SurRational, bound: int):
 def _le_scaled(aq: SurRational, ap: SurRational, n: int) -> bool:
     # |q| <= n*|p|  <=>  num_q*den_p <= n*num_p*den_q
     lhs = si_mul(aq.num, ap.den)
-    rhs = si_scale(si_mul(ap.num, aq.den), n)
+    rhs = si_mul(si_mul(ap.num, aq.den), SurInteger(n))
     return si_compare(lhs, rhs) <= 0
 
 

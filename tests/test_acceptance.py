@@ -65,7 +65,7 @@ from transfinita.oracle import (
     def_rec_pow,
 )
 from transfinita.surinteger import S_ONE, S_ZERO, neg, si_abs
-from transfinita.surrational import Q_ONE, Q_ZERO, q_abs, q_from_int, q_inv, q_sub
+from transfinita.surrational import Q_ONE, Q_ZERO, q_abs, q_inv, q_sub
 
 from conftest import o, q, si
 from random_values import random_gaussian, random_ordinal, random_surinteger, random_surrational
@@ -196,7 +196,7 @@ def test_criterion_6_archimedean_dichotomy():
     rng = random.Random(6)
     bound = 10**6
     for _ in range(1_000):
-        p = q_from_int(0)
+        p = SurRational(0)
         while p.is_zero:
             p = SurRational(SurInteger(rng.randint(-200, 200)), SurInteger(rng.randint(1, 200)))
         value = SurRational(SurInteger(rng.randint(-(10**5), 10**5)), SurInteger(rng.randint(1, 200)))
@@ -205,9 +205,9 @@ def test_criterion_6_archimedean_dichotomy():
     assert archimedean_witness(Q_ONE, q("w/1"), bound) is NO_WITNESS
     for n in range(1, 21):
         for m in range(2, 21):
-            lo = q_from_int(n)
+            lo = SurRational(n)
             mid = SurRational(SurInteger.from_ordinal(OMEGA), SurInteger(m))
-            hi = q_sub(q("w/1"), q_from_int(n))
+            hi = q_sub(q("w/1"), SurRational(n))
             assert q_compare(lo, mid) == LT and q_compare(mid, hi) == LT
     _passed(6, "witness <= 1e6 on 1000 finite pairs; NoWitness at omega; n < w/m < w - n chain")
 
@@ -289,7 +289,7 @@ def test_criterion_9_base_expansion_round_trip():
 
 
 def test_criterion_10_cut_predicates():
-    sqrt2 = RootCut(q_from_int(2), 2, OMEGA)
+    sqrt2 = RootCut(SurRational(2), 2, OMEGA)
     for a in range(-50, 51):
         for b in range(1, 51):
             p = SurRational(SurInteger(a), SurInteger(b))
@@ -303,7 +303,7 @@ def test_criterion_10_cut_predicates():
     assert not cut_member(sqrt_w, q("w/1"))
     out = classify_root_cut(RootCut(q("w^2/1"), 2, ww))
     assert out.kind == "surrational" and q_eq(out.witness, q("w/1"))
-    assert classify_root_cut(RootCut(q_from_int(2), 2, ww)).kind == "irrational"
+    assert classify_root_cut(RootCut(SurRational(2), 2, ww)).kind == "irrational"
     _passed(10, "sqrt(2) decided against integer arithmetic on |a|,b <= 50; sqrt(w) cuts classified")
 
 

@@ -486,6 +486,16 @@ class TestRepl:
         assert out.count("ambient lambda = ") == 1 and out.splitlines()[-1] == "true"
         assert err.count("error: ") == 2 and "multiplication-closed" in err
 
+    def test_commands_match_whole_words(self, monkeypatch, capsys):
+        # a prefix match bound ter, evaluated of, set the ambient to w and
+        # turned the oracle on; a word that is no command is an expression
+        code, out, err = self._run_repl(
+            monkeypatch, capsys, [":letter = 5", ":typeof", ":lambdaw", ":oracleX on", ":quit"]
+        )
+        assert code == 0
+        assert out.splitlines() == ["transfinita repl -- :help for commands"]
+        assert err.count("parse error: 1:1: unexpected character ':'") == 4
+
     def test_eof_ends_session(self, monkeypatch, capsys):
         def raise_eof(prompt=""):
             raise EOFError

@@ -37,14 +37,13 @@ from transfinita import (
 )
 from transfinita.cuts import _int_nth_root, _q_pow, check_root
 from transfinita.natural import _exp_root
-from transfinita.surinteger import S_ONE, S_ZERO, SurInteger, _make as _make_si, si_add, si_mul, si_scale
+from transfinita.surinteger import S_ONE, S_ZERO, SurInteger, _make as _make_si, si_add, si_mul
 from transfinita.surrational import (
     Q_ZERO,
     SurRational,
     _light_reduce,
     exact_divide,
     midpoint,
-    q_from_int,
 )
 
 from conftest import o, ordinals, q, seconds_in_child, si, surintegers, surrationals
@@ -72,13 +71,13 @@ def setup_module():
 
 class TestCutMembership:
     def test_square_root_of_two(self):
-        cut = RootCut(q_from_int(2), 2, OMEGA)
+        cut = RootCut(SurRational(2), 2, OMEGA)
         assert cut_member(cut, q("7/5"))
         assert not cut_member(cut, q("3/2"))
 
     def test_every_finite_sits_below_root_omega(self):
         cut = RootCut(q("w/1"), 2, WW)
-        assert cut_member(cut, q_from_int(1000))
+        assert cut_member(cut, SurRational(1000))
         assert not cut_member(cut, q("w/1"))
 
     def test_rational_cut_is_strict_order(self):
@@ -90,9 +89,9 @@ class TestCutMembership:
     def test_powers_are_budgeted(self):
         # (3/2)^(10^8) needs a numerator of about 4.8e7 digits
         with pytest.raises(ResourceExceeded):
-            cut_member(RootCut(q_from_int(2), 10**8, OMEGA), q("3/2"))
+            cut_member(RootCut(SurRational(2), 10**8, OMEGA), q("3/2"))
         # 3^100000 has 47,713 digits
-        assert not cut_member(RootCut(q_from_int(2), 100_000, OMEGA), q("3/2"), 100_000)
+        assert not cut_member(RootCut(SurRational(2), 100_000, OMEGA), q("3/2"), 100_000)
         # the bound adds the coefficients: 2^400 is 121 digits, (w + 1)^400 has none larger
         with pytest.raises(ResourceExceeded):
             cut_member(RootCut(q("w/1"), 400, WW), q("w + 1"), 100)
@@ -108,7 +107,7 @@ class TestCutMembership:
         with pytest.raises(InvalidLambda):
             RationalCut(q("1/2"), o("w*2"))
         with pytest.raises(Undefined):
-            RootCut(q_from_int(2), 1, OMEGA)
+            RootCut(SurRational(2), 1, OMEGA)
         with pytest.raises(Undefined):
             RootCut(q("-2/1"), 2, OMEGA)
 
@@ -150,11 +149,11 @@ class TestCutMembership:
 
 class TestRootClassification:
     def test_perfect_square(self):
-        out = classify_root_cut(RootCut(q_from_int(4), 2, WW))
-        assert out.kind == "surrational" and q_eq(out.witness, q_from_int(2))
+        out = classify_root_cut(RootCut(SurRational(4), 2, WW))
+        assert out.kind == "surrational" and q_eq(out.witness, SurRational(2))
 
     def test_two_is_irrational(self):
-        assert classify_root_cut(RootCut(q_from_int(2), 2, WW)).kind == "irrational"
+        assert classify_root_cut(RootCut(SurRational(2), 2, WW)).kind == "irrational"
 
     def test_monomial_exponent_halving(self):
         out = classify_root_cut(RootCut(q("w^2/1"), 2, WW))
@@ -176,7 +175,7 @@ class TestRootClassification:
 
     def test_trial_search_catches_reducible_shapes(self):
         out = classify_root_cut(RootCut(q("(w^2*4) / (w^2)"), 2, WW))
-        assert out.kind == "surrational" and q_eq(out.witness, q_from_int(2))
+        assert out.kind == "surrational" and q_eq(out.witness, SurRational(2))
 
     def test_a_ratio_of_monomials_behind_a_common_factor(self):
         # reduction leaves (w^3*4 + w^2*4) / (w*9 + 9), which no side divides
@@ -285,11 +284,11 @@ class TestExactRootTest:
                 ratios = [(i**n, j**n) for i, j in roots]
                 ratios += [(2 * 3**n, 5**n), (10**400 + 1, 3), (7**(480 * n), 1)]
                 for a, b in ratios:
-                    yield SurRational(si_scale(p, a), si_scale(p, b)), n, (a, b)
+                    yield SurRational(si_mul(p, SurInteger(a)), si_mul(p, SurInteger(b))), n, (a, b)
                 # not proportional: other exponents or other coefficients
                 other = si(self.POLYS[(k + 1) % len(self.POLYS)])
-                yield SurRational(si_scale(p, 4**n), other), n, None
-                yield SurRational(si_scale(p, 4), si_add(p, SurInteger(1))), n, None
+                yield SurRational(si_mul(p, SurInteger(4**n)), other), n, None
+                yield SurRational(si_mul(p, SurInteger(4)), si_add(p, SurInteger(1))), n, None
 
     def test_matches_trial_search(self):
         # where the trial search decides, the verdict and witness stay; where
@@ -334,10 +333,10 @@ class TestGaussian:
         assert cx_eq(cx_mul(CX_I, CX_I), cx_neg(CX_ONE))
 
     def test_componentwise_addition(self):
-        a = GaussianSurRational(q_from_int(1), q_from_int(2))
-        b = GaussianSurRational(q_from_int(3), q_from_int(4))
+        a = GaussianSurRational(SurRational(1), SurRational(2))
+        b = GaussianSurRational(SurRational(3), SurRational(4))
         s = cx_add(a, b)
-        assert q_eq(s.re, q_from_int(4)) and q_eq(s.im, q_from_int(6))
+        assert q_eq(s.re, SurRational(4)) and q_eq(s.im, SurRational(6))
         assert cx_eq(cx_add(a, CX_ZERO), a)
 
     def test_infinitesimal_components(self):
@@ -353,7 +352,7 @@ class TestGaussian:
 
     def test_inverse_examples(self):
         assert cx_eq(cx_inv(CX_I), cx_neg(CX_I))
-        inv = cx_inv(GaussianSurRational(q_from_int(1), q_from_int(1)))
+        inv = cx_inv(GaussianSurRational(SurRational(1), SurRational(1)))
         assert q_eq(inv.re, q("1/2")) and q_eq(inv.im, q("-1/2"))
         inv_w = cx_inv(GaussianSurRational(q("w/1"), Q_ZERO))
         assert q_eq(inv_w.re, q("1/w")) and q_eq(inv_w.im, Q_ZERO)

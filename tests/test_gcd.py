@@ -13,7 +13,7 @@ from hypothesis import assume, given
 from transfinita import EvalError, SurInteger, SurRational, Undefined, evaluate, parse
 from transfinita import print_canonical, q_add, q_eq, si_add, si_mul
 from transfinita.ordinal import Ordinal
-from transfinita.surinteger import S_ONE, _make, _shared, neg, si_gcd
+from transfinita.surinteger import S_ONE, S_ZERO, _make, _shared, neg, si_gcd
 from transfinita.surrational import Q_ZERO, _light_reduce, exact_divide
 from transfinita.errors import NOT_DIVISIBLE
 
@@ -50,6 +50,12 @@ def _check_gcd(a: SurInteger, b: SurInteger):
 
 
 class TestGcd:
+    def test_a_zero_operand_is_undefined(self):
+        # a typed error, not the IndexError of reading a zero's last term
+        for a, b in ((S_ZERO, S_ONE), (S_ONE, S_ZERO), (S_ZERO, S_ZERO), (S_ZERO, si("w + 1"))):
+            with pytest.raises(Undefined):
+                si_gcd(a, b)
+
     @given(dense(), dense(), dense())
     def test_a_common_factor_comes_out_whole(self, a, b, c):
         g = _check_gcd(si_mul(a, c), si_mul(b, c))

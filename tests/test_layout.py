@@ -15,8 +15,8 @@ it.
 an ``isinstance`` test on a tower type.  Only ``natural`` reads an exponent
 as a monomial: it alone defines the ``_exp_*`` operations, and neither
 ``surrational`` nor ``cuts`` builds an ordinal itself.  Value classes are
-immutable through ``ordinal._Frozen``; only ``SurInteger`` refuses
-assignment with methods of its own.
+immutable through ``ordinal._Frozen``, and none refuses assignment with
+methods of its own.
 """
 
 import ast
@@ -251,12 +251,12 @@ def test_no_module_imports_sympy():
 
 
 def test_immutability_comes_from_frozen():
-    # every value class refuses assignment through ordinal._Frozen, except
-    # SurInteger, which keeps its own methods because its __eq__ is hot
+    # every value class refuses assignment through ordinal._Frozen, which
+    # alone defines __setattr__
     defining = sorted(
         path.stem
         for path in SRC.glob("*.py")
         for node in ast.walk(_parse(path))
         if isinstance(node, ast.FunctionDef) and node.name == "__setattr__"
     )
-    assert defining == ["ordinal", "surinteger"]
+    assert defining == ["ordinal"]

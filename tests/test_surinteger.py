@@ -1,6 +1,7 @@
 """The discretely ordered ring of signed normal forms."""
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given
 
 from transfinita import (
@@ -24,7 +25,7 @@ from transfinita import (
     si_sub,
     to_coordinates,
 )
-from transfinita.surinteger import S_ONE, S_ZERO, si_abs, validate
+from transfinita.surinteger import S_ONE, S_ZERO, _make, si_abs, validate
 
 from conftest import o, ordinals, si, surintegers
 
@@ -136,6 +137,40 @@ class TestOrder:
 
     def test_zero_counts_positive(self):
         assert is_positive(S_ZERO)
+
+    @pytest.mark.parametrize(
+        "a,b,want",
+        [
+            # one side is a prefix of the other, the rest either sign
+            ("w^2 + w", "w^2", GT),
+            ("w^2 - w", "w^2", LT),
+            # an exponent missing on one side, its coefficient either sign
+            ("w^2*3 + w*2 + 1", "w^2*3 + 5", GT),
+            ("w^2*3 - w*2 + 1", "w^2*3 + 5", LT),
+            ("w^w - w^5", "w^w - 3", LT),
+            ("w^w*2 + w^(w + 1)", "w^w*2 + w^5*9", GT),
+            # the same exponent with other coefficients, and equal values
+            ("w*2 - 7", "w*3 - 7", LT),
+            ("w^w - w + 1", "w^w - w + 1", EQ),
+            ("0", "0", EQ),
+        ],
+    )
+    def test_each_way_two_term_lists_differ(self, a, b, want):
+        assert si_compare(si(a), si(b)) == want
+        assert si_compare(si(b), si(a)) == -want
+
+    @given(*[st.dictionaries(st.integers(0, 8), st.integers(-30, 30))] * 3)
+    def test_sign_of_the_difference_at_a_large_integer(self, top, da, db):
+        # a and b share the terms of top above both their own, so long
+        # common prefixes are common; at x >= 2*|c| + 2 for every
+        # coefficient c of a - b, the leading term outweighs the rest
+        top = {k + 9: c for k, c in top.items()}
+        ca, cb = {**top, **da}, {**top, **db}
+        diff = {k: ca.get(k, 0) - cb.get(k, 0) for k in ca.keys() | cb.keys()}
+        x = 2 * max(map(abs, diff.values()), default=0) + 2
+        v = sum(c * x**k for k, c in diff.items())
+        a, b = (_make(tuple((Ordinal(k), d[k]) for k in sorted(d, reverse=True) if d[k])) for d in (ca, cb))
+        assert si_compare(a, b) == (v > 0) - (v < 0)
 
 
 class TestRingLaws:

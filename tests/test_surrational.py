@@ -38,7 +38,7 @@ from transfinita import (
 )
 from transfinita.ordinal import _make as _make_ordinal
 from transfinita.surinteger import S_ONE, S_ZERO, _make as _make_si, content, si_sub
-from transfinita.surrational import Q_ONE, Q_ZERO, _light_reduce, q_from_int, q_sub
+from transfinita.surrational import Q_ONE, Q_ZERO, _light_reduce, q_sub
 
 from conftest import (
     FINITE_EXPONENTS,
@@ -172,7 +172,7 @@ class TestEquality:
 
 class TestOrder:
     def test_infinitesimal_ladder(self):
-        n, m = q_from_int(5), 3
+        n, m = SurRational(5), 3
         w_over_m = q("w/3")
         assert q_compare(n, w_over_m) == LT
         assert q_compare(w_over_m, q("w - 5")) == LT
@@ -419,7 +419,7 @@ class TestDensity:
         assert q_eq(midpoint(q("1/w"), q("2/w")), q("3/(w*2)"))
 
     def test_midpoint_inside_an_infinitesimal_gap(self):
-        n = q_from_int(4)
+        n = SurRational(4)
         hi = q_add(n, q("1/w"))
         mid = midpoint(n, hi)
         assert q_compare(n, mid) == LT and q_compare(mid, hi) == LT
