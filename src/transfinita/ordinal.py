@@ -283,12 +283,25 @@ def rec_mul(a: Ordinal, b: Ordinal) -> Ordinal:
     return _make(tuple(out))
 
 
+# log2(10) rounded down to 40 decimals: _LOG2_10 / 10^40 < log2(10) < that + 10^-40
+_LOG2_10 = 33219280948873623478703194294893901758648
+
+
+def _at_least_pow10(n: int, d: int) -> bool:
+    """Whether n >= 10**d (n, d >= 0), by bit length where they differ: 10**d
+    has floor(d * log2(10)) + 1 bits.  A tie compares n >> d with 5**d."""
+    lo, hi = d * _LOG2_10 // 10**40, d * (_LOG2_10 + 1) // 10**40
+    if lo == hi and n.bit_length() != lo + 1:
+        return n.bit_length() > lo + 1
+    return n >> d >= 5**d
+
+
 def _decimal_digits(n: int) -> int:
     """The number of decimal digits of an int n >= 1, without ``str(n)``."""
     # at most the digit count of 2^(bits - 1) <= n, as 0.30102999566398 is
     # below log10(2); then raised to n's, one or two steps in practice
     d = (n.bit_length() - 1) * 30102999566398 // 10**14 + 1
-    while n >= 10**d:
+    while _at_least_pow10(n, d):
         d += 1
     return d
 
@@ -309,7 +322,7 @@ def _check_pow_digits(base: int, exp: int, max_digits: int) -> int | None:
     if exp * b * 30103 < max_digits * 100000:  # log10(base) < b * 0.30103
         return None
     t = _decimal_digits(base) - 1
-    if base == 10**t:
+    if not _at_least_pow10(base - 1, t):  # base is 10**t
         lo = hi = exp * t
     else:
         # log10 of an int is within a few units in the last place; widen
@@ -321,7 +334,7 @@ def _check_pow_digits(base: int, exp: int, max_digits: int) -> int | None:
         return None
     if lo < max_digits:
         p = base**exp
-        if p < 10**max_digits:
+        if not _at_least_pow10(p, max_digits):
             return p
     # 10^k <= max(lo, max_digits) <= F < digits
     k = _decimal_digits(max(lo, max_digits)) - 1

@@ -1,12 +1,18 @@
-"""Tokenizer and recursive-descent parser for the expression language.
+"""Tokenizer and parser for the expression language.
 
 ``parse`` emits postfix code rather than a tree: a list of ``(tag, span,
 arg)`` instructions in which every operand comes before its operation, so
 that ``expr.run`` evaluates it in one loop over a value stack (the
 ``expr`` docstring lists the tags).
 
-Constants fold as they are parsed.  Each grammar method returns the value
-of a constant phrase instead of emitting it, so a natural ``+`` or ``*``
+One loop, ``_Parser.parse_expr``, reads the grammar below with the sum and
+product being read in local variables.  A "(" pushes them on an explicit
+stack, and a unary minus or a power's right-hand side pushes a frame that
+is unwound when its operand ends, so only names with argument lists or
+brackets recurse, through ``parse_atom``.
+
+Constants fold as they are parsed.  The value of a constant phrase is
+carried instead of emitted, so a natural ``+`` or ``*``
 of two constants, or ``w ^`` one, is one value, and a written-out normal
 form such as ``w^(w^2)*3 + 5`` is one ``const`` instruction.  ``w ^ y`` is
 built directly as the one term ``w^y``, ``x * k`` with a finite ``k``
@@ -150,17 +156,19 @@ _POW_OPS = frozenset(("^", "^^"))
 # Texts that are not names: the operators, and the end token's.
 _NOT_NAMES = _SUM_OPS | _PROD_OPS | _POW_OPS | frozenset(("(", ")", "[", "]", ",", ""))
 
-# Deepest nesting a line may have, counted as parse_unary calls open at
-# once: each parenthesis, argument list, unary minus and power right-hand
-# side opens one.  A level costs at most 4 Python frames (unary, atom, sum,
-# product), so 200 levels stay well inside the default recursion limit of
-# 1,000 even under a test runner's stack.
+# Deepest nesting a line may have, counted as unary operands open at once:
+# each parenthesis, argument list, unary minus and power right-hand side
+# opens one.  Only an argument list or bracket costs Python frames, 2, so 200
+# levels stay well inside the default recursion limit of 1,000.
 MAX_NESTING = 200
+
+# the kinds of the frames that _Parser.parse_expr keeps on its stack
+_NEG, _POW, _PAREN, _PAIR = range(4)
 
 
 class _Parser:
-    """Each grammar method returns the value of its phrase when the phrase
-    is constant, and emits nothing for it; otherwise it emits the phrase's
+    """``parse_expr`` returns the value of its expression when it is
+    constant, and emits nothing for it; otherwise it emits the expression's
     instructions and returns None.  Instructions carry character offsets
     until :func:`parse` turns them into lines and columns.  Tokens are read
     by text alone: an operator's text is never a name's or a number's, and
@@ -183,9 +191,8 @@ class _Parser:
         return ("const", self.starts[start], value)
 
     def keep(self, start: int, value) -> None:
-        # emit a phrase that an instruction reads as an operand; callers
-        # pass self.pos before the phrase's method runs, as in
-        # self.keep(self.pos, self.parse_expr())
+        # emit a phrase that an instruction reads as an operand; ``start``
+        # is the phrase's first token, as in self.keep(self.pos, self.parse_expr())
         if value is not None:
             self.code.append(self.const(start, value))
 
@@ -210,102 +217,120 @@ class _Parser:
         self.keep(at + 1, y)
         code.append(("op", self.starts[at], self.texts[at]))
 
-    def parse_sum(self):
-        start = self.pos
-        x = self.parse_product()
-        texts, code = self.texts, self.code
-        at = self.pos
-        while texts[at] in _SUM_OPS:
-            self.pos = at + 1
-            mark = len(code)
-            y = self.parse_product()
-            if texts[at] == "+" and x is not None and y is not None:
-                # natural sum; terms already in order just concatenate
-                if x and y and x[-1][0] > y[0][0]:
-                    x = _make((*x, *y))
-                else:
-                    x = nat_add(x, y)
+    def parse_expr(self):
+        # one sum, read by the loop the module docstring describes
+        texts, starts, code, pos = self.texts, self.starts, self.code, self.pos
+        base, stack = self.depth, []  # levels open: base + len(stack) + 1
+        # the sum and the product: first token, value so far, pending
+        # operator (-1 for none yet) and where the right operand's code begins
+        s_start, sx, s_at, p_start, px, p_at = pos, None, -1, pos, None, -1
+        s_mark = p_mark = 0
+        while True:
+            # a unary operand starts at pos
+            if base + len(stack) >= MAX_NESTING:
+                self.pos = pos
+                self.fail(f"expression nested too deeply (more than {MAX_NESTING} levels)")
+            start = pos
+            text = texts[pos]
+            pos += 1
+            if text == "-":  # binds looser than the power operators: -w^2 = -(w^2)
+                stack.append((_NEG, start))
+                continue
+            if text == "(":
+                stack.append((_PAREN, start, s_start, sx, s_at, s_mark, p_start, px, p_at, p_mark))
+                s_start, sx, s_at, p_start, px, p_at = pos, None, -1, pos, None, -1
+                continue
+            if text == "w":
+                x = OMEGA
+            elif text.isdecimal():
+                try:
+                    x = _finite(int(text))
+                except ValueError:  # longer than the interpreter's int-string limit
+                    self.pos = start
+                    self.fail(f"number literal is too long ({len(text)} digits)")
             else:
-                self.binary(start, x, mark, at, y)
-                x = None
-            at = self.pos
-        return x
-
-    parse_expr = parse_sum
-
-    def parse_product(self):
-        start = self.pos
-        x = self.parse_unary()
-        texts, code = self.texts, self.code
-        at = self.pos
-        while texts[at] in _PROD_OPS:
-            self.pos = at + 1
-            mark = len(code)
-            y = self.parse_unary()
-            if texts[at] == "*" and x is not None and y is not None:
-                # natural product; a finite y scales x's coefficients
-                if len(y) == 1 and not y[0][0]:
-                    k = y[0][1]
-                    x = _make(tuple([(e, c * k) for e, c in x]))
-                else:
-                    x = nat_mul(x, y)
-            else:
-                self.binary(start, x, mark, at, y)
-                x = None
-            at = self.pos
-        return x
-
-    def parse_unary(self):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.fail(f"expression nested too deeply (more than {MAX_NESTING} levels)")
-        # unary minus binds looser than the power operators: -w^2 = -(w^2)
-        start = self.pos
-        if self.texts[start] == "-":
-            self.pos = start + 1
-            self.keep(start + 1, self.parse_unary())
-            self.code.append(("neg", self.starts[start], None))
-            x = None
-        else:
-            x = self.parse_atom()
-            at = self.pos
-            op = self.texts[at]
-            if op in _POW_OPS:
-                self.pos = at + 1
-                mark = len(self.code)
-                y = self.parse_unary()  # right assoc
-                if op == "^" and x == OMEGA and y is not None:
-                    x = _make(((y, 1),))  # w^y, one term
-                else:
-                    self.binary(start, x, mark, at, y)
+                self.pos, self.depth = start, base + len(stack) + 1
+                x = self.parse_atom()
+                pos = self.pos
+            while True:
+                # the atom or parenthesis that starts at ``start`` has ended
+                op = texts[pos]
+                if op in _POW_OPS:  # right assoc
+                    stack.append((_POW, start, x, pos, len(code), op))
+                    pos += 1
+                    break
+                # the unary operand ends, and with it every frame it closes
+                while stack and stack[-1][0] < _PAREN:
+                    f = stack.pop()
+                    if f[0] == _NEG:
+                        self.keep(f[1] + 1, x)
+                        code.append(("neg", starts[f[1]], None))
+                        x = None
+                    elif f[5] == "^" and f[2] == OMEGA and x is not None:
+                        x = _make(((x, 1),))  # w^y, one term
+                    else:
+                        self.binary(f[1], f[2], f[4], f[3], x)
+                        x = None
+                if p_at >= 0:
+                    if texts[p_at] == "*" and px is not None and x is not None:
+                        # natural product; a finite x scales px's coefficients
+                        if len(x) == 1 and not x[0][0]:
+                            k = x[0][1]
+                            x = _make(tuple([(e, c * k) for e, c in px]))
+                        else:
+                            x = nat_mul(px, x)
+                    else:
+                        self.binary(p_start, px, p_mark, p_at, x)
+                        x = None
+                op = texts[pos]
+                if op in _PROD_OPS:
+                    px, p_at, p_mark = x, pos, len(code)
+                    pos += 1
+                    break
+                if s_at >= 0:
+                    if texts[s_at] == "+" and sx is not None and x is not None:
+                        # natural sum; terms already in order just concatenate
+                        if sx and x and sx[-1][0] > x[0][0]:
+                            x = _make((*sx, *x))
+                        else:
+                            x = nat_add(sx, x)
+                    else:
+                        self.binary(s_start, sx, s_mark, s_at, x)
+                        x = None
+                if op in _SUM_OPS:
+                    sx, s_at, s_mark = x, pos, len(code)
+                    pos += 1
+                    p_start, p_at = pos, -1
+                    break
+                # the sum ends: it is the whole expression, or it closes a "("
+                if not stack:
+                    self.pos = pos
+                    return x
+                f = stack.pop()
+                _, start, s_start, sx, s_at, s_mark, p_start, px, p_at, p_mark = f[:10]
+                if f[0] == _PAREN and op == ",":  # a complex literal (re, im)
+                    self.keep(start + 1, x)
+                    pos += 1
+                    stack.append((_PAIR, *f[1:], pos))
+                    s_start, sx, s_at, p_start, px, p_at = pos, None, -1, pos, None, -1
+                    break
+                if op != ")":
+                    self.pos = pos
+                    self.expect(")")
+                pos += 1
+                if f[0] == _PAIR:
+                    self.keep(f[10], x)
+                    code.append(("call", starts[start], ("complex", 2)))
                     x = None
-        self.depth -= 1
-        return x
 
     def parse_atom(self):
+        # a name, its argument lists included, or eps0; self.depth counts
+        # the levels open around it
         pos = self.pos
         text = self.texts[pos]
         self.pos = pos + 1
-        if text == "w":
-            return OMEGA
-        if text.isdecimal():
-            try:
-                return _finite(int(text))
-            except ValueError:  # longer than the interpreter's int-string limit
-                self.pos = pos
-                self.fail(f"number literal is too long ({len(text)} digits)")
         code, span = self.code, self.starts[pos]
-        if text == "(":
-            x = self.parse_expr()
-            if self.texts[self.pos] != ",":
-                self.expect(")")
-                return x
-            self.keep(pos + 1, x)
-            self.pos += 1
-            self.keep(self.pos, self.parse_expr())
-            self.expect(")")
-            code.append(("call", span, ("complex", 2)))
-        elif text in _NOT_NAMES:
+        if text in _NOT_NAMES:
             self.pos = pos
             self.fail(
                 f"unexpected {text or 'end of input'!r}",

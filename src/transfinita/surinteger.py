@@ -285,6 +285,15 @@ _GCD_TRIES = 6
 _GCD_SIZE = 64
 
 
+def _cofactor(g: SurInteger, g1: int, v: int, a: SurInteger, a_max: int, xi: int):
+    """a/g from the balanced base-xi digits of v = a(xi)/g(xi), or None:
+    accepted by ``si_gcd``'s bound (g1 = |g|_1, a_max = |a|), else by product."""
+    tu = _digits(v, xi)
+    u = _from_ints(tu)
+    top = max([abs(c) for _, c in tu], default=0)
+    return u if g1 * top + a_max < xi or _convolve_terms(g.terms, u.terms) == a.terms else None
+
+
 def si_gcd(a: SurInteger, b: SurInteger) -> tuple:
     """(g, a/g, b/g) for nonzero a and b and a common divisor g with a
     positive leading coefficient: their gcd when both are polynomials in w,
@@ -294,8 +303,13 @@ def si_gcd(a: SurInteger, b: SurInteger) -> tuple:
     heuristic gcd (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989):
     evaluate both at an integer xi >= 2*|a| + 2 or >= 2*|b| + 2, with |.| the
     largest coefficient, take the integer gcd h, read g from the balanced
-    base-xi digits of h and the cofactors from those of a(xi)/g(xi), and
-    keep them only if they multiply back to a and b, which makes g the gcd.
+    base-xi digits of h and each cofactor u from those of a(xi)/g(xi), and
+    keep them only if g*u = a and likewise for b, which makes g the gcd.
+    As (g*u)(xi) = a(xi), g*u = a holds when |g|_1*|u| + |a| < xi (|g|_1
+    the sum of g's |coefficients|): every coefficient of g*u - a is then
+    below xi in absolute value, and a nonzero such polynomial cannot vanish
+    at xi, as its lowest nonzero coefficient would be a multiple of xi.
+    Otherwise g*u is multiplied out and compared.
     An h of one digit proves the pair coprime at once: a common factor of
     degree d would be worth more than (xi/2)^d at xi.  A failed try grows
     xi.  After the last try, or when the values would dwarf a sparse pair of
@@ -310,7 +324,8 @@ def si_gcd(a: SurInteger, b: SurInteger) -> tuple:
     # the proof needs xi >= 2*|.| + 2 for one of the pair, here b; 16 times
     # that keeps a stray common factor of the two values from spoiling the
     # digits, so one try mostly does
-    xi = 32 * max([abs(c) for _, c in tb]) + 2
+    a_max, b_max = max([abs(c) for _, c in ta]), max([abs(c) for _, c in tb])
+    xi = 32 * b_max + 2
     size = max(ta[0][0], tb[0][0]) * xi.bit_length()  # the bits of a value
     if size > _GCD_SIZE * (len(ta) + len(tb)) and size > _GCD_SIZE * sum(
         c.bit_length() for _, c in ta + tb
@@ -324,8 +339,8 @@ def si_gcd(a: SurInteger, b: SurInteger) -> tuple:
         # a dividing b: xi is sized from b alone, so a's digits need not be
         # h's, and the general path below could fail where this holds
         if h == va and ta[0][1] > 0:
-            cb = _from_ints(_digits(vb // h, xi))
-            if _convolve_terms(a.terms, cb.terms) == b.terms:
+            cb = _cofactor(a, sum([abs(c) for _, c in ta]), vb // h, b, b_max, xi)
+            if cb is not None:
                 return (a if g is S_ONE else si_mul(g, a)), S_ONE, cb
         tg = _digits(h, xi)
         k = gcd(*[c for _, c in tg])
@@ -334,9 +349,10 @@ def si_gcd(a: SurInteger, b: SurInteger) -> tuple:
         if k != 1:  # h / k still divides both values
             h //= k
             tg = [(e, c // k) for e, c in tg]
-        d = _from_ints(tg)
-        ca, cb = _from_ints(_digits(va // h, xi)), _from_ints(_digits(vb // h, xi))
-        if _convolve_terms(d.terms, ca.terms) == a.terms and _convolve_terms(d.terms, cb.terms) == b.terms:
+        d, d1 = _from_ints(tg), sum([abs(c) for _, c in tg])
+        ca = _cofactor(d, d1, va // h, a, a_max, xi)
+        cb = None if ca is None else _cofactor(d, d1, vb // h, b, b_max, xi)
+        if cb is not None:
             return (d if g is S_ONE else si_mul(g, d)), ca, cb
         xi = xi * 73794 // 27011  # about xi * (1 + sqrt(3))
     return g, a, b

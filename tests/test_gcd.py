@@ -80,6 +80,13 @@ class TestGcd:
             ("1", "1", "1"),
             # at the first xi, 34, a's value 35 divides b's, but a not b
             ("w*2 - 33", "w + 1", "1"),
+            # at xi = 34 the candidate w + 1 comes with the cofactor w*9 + 9,
+            # and the bound 2*9 + 16 = 34 is not below xi: the product check
+            # runs and refuses it
+            ("w^2*10 - w*16 + 9", "w + 1", "1"),
+            # the cofactor w + 15 gives the bound 2*15 + 16 = 46: the product
+            # check runs and accepts
+            ("(w + 1)*(w + 15)", "w + 1", "w + 1"),
         ],
     )
     def test_examples(self, a, b, g):

@@ -6,9 +6,9 @@ be exported from the package, used somewhere else in the package, or
 imported by the benchmark in ``bench/``.  Code that only tests use belongs
 under ``tests/``.  Every public method or property of a public class must be
 read as an attribute somewhere in ``src``, ``tests`` or ``bench``.  The
-parser, which folds constants, imports only ``ordinal`` and ``natural``,
-and importing the CLI loads none of the modules that start-up can do
-without.
+parser, which folds constants, imports only ``ordinal`` and ``natural``
+and reads sums, products and unary operands in one loop, and importing the
+CLI loads none of the modules that start-up can do without.
 sympy serves the tests as a reference and no module of the package imports
 it.
 ``expr`` moves values along the numeric tower through its tables, never by
@@ -137,6 +137,16 @@ def test_parser_imports_only_ordinal_and_natural():
             reached |= {a.name for a in node.names if a.name.startswith("transfinita")}
     assert reached <= {"ordinal", "natural"}
     assert not {n for n in names if n.startswith("rec_")}
+
+
+def test_parser_reads_sums_products_and_unaries_in_one_loop():
+    # parse_expr's loop replaced one method per precedence level; only
+    # argument lists and brackets recurse, through parse_atom
+    defined = {
+        n.name for n in ast.walk(_parse(SRC / "parser.py")) if isinstance(n, ast.FunctionDef)
+    }
+    assert "parse_expr" in defined
+    assert not defined & {"parse_sum", "parse_product", "parse_unary"}
 
 
 def test_only_tokenize_reads_the_token_pattern():

@@ -37,6 +37,7 @@ from transfinita.ordinal import (
     _binary_pow,
     _check_pow_digits,
     _dec_exp,
+    _decimal_digits,
     _make,
     ordinal_str,
     predecessor,
@@ -354,6 +355,25 @@ def _refusal(base, exp, max_digits):
 
 
 class TestDigitBudget:
+    def test_decimal_digits_counts_like_str(self):
+        # at and next to each power of ten, where n and 10^d have the same
+        # bit length, and on random ints of up to 10,000 bits
+        rng = random.Random(7)
+        ns = [n for k in range(1, 3000) for n in (10**k - 1, 10**k, 10**k + 1)]
+        ns += [rng.getrandbits(rng.randrange(1, 10_000)) | 1 for _ in range(2000)]
+        for n in ns:
+            assert _decimal_digits(n) == len(str(n)), n
+
+    @pytest.mark.parametrize("base", [3, 10])
+    def test_band_edges_against_the_digits(self, base):
+        # a budget of exactly the power's digit count fits, and one digit
+        # less is refused; for base 3 that budget is inside the band
+        for exp in [*range(2, 400), 1000, 3001, 20_000]:
+            p = base**exp
+            d = len(str(p))
+            assert _check_pow_digits(base, exp, d) in (None, p)
+            assert _refusal(base, exp, d - 1) is not None
+
     @given(
         st.one_of(st.integers(2, 12), st.integers(2, 10**30)),
         st.integers(2, 3000),

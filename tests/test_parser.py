@@ -340,7 +340,7 @@ def within(frames, fn, *args):
         sys.setrecursionlimit(old)
 
 
-# Each form nested n levels deep, as parse_unary counts them.
+# Each form nested n levels deep, as the parser counts unary operands.
 NESTED = {
     "parentheses": lambda n: "(" * (n - 1) + "w + 1" + ")" * (n - 1),
     "arguments": lambda n: "classify(" * (n - 1) + "w" + ")" * (n - 1),
@@ -351,10 +351,16 @@ NESTED = {
 }
 
 
+# The forms that parse_expr's loop keeps on its own stack; argument lists and
+# brackets recurse through parse_atom, two frames a level.
+LOOPED = ("parentheses", "complex", "minus", "powers")
+
+
 class TestNesting:
     @pytest.mark.parametrize("form", NESTED)
-    def test_limit_costs_at_most_four_frames_a_level(self, form):
-        within(4 * MAX_NESTING + 20, parse, NESTED[form](MAX_NESTING))
+    def test_limit_costs_no_frames_but_two_an_argument_list(self, form):
+        frames = 20 if form in LOOPED else 2 * MAX_NESTING + 20
+        within(frames, parse, NESTED[form](MAX_NESTING))
         with pytest.raises(ParseError) as err:
             parse(NESTED[form](MAX_NESTING + 1))
         assert err.value.diagnostic.message == (
@@ -377,7 +383,7 @@ class TestNesting:
 
     def test_omega_tower_folds_within_the_depth_bound(self):
         # the tallest parseable w^w^...^w is one const, MAX_NESTING deep
-        code = within(4 * MAX_NESTING + 20, parse, "w^" * (MAX_NESTING - 1) + "w")
+        code = within(20, parse, "w^" * (MAX_NESTING - 1) + "w")
         assert len(code) == 1 and code[0][0] == "const"
         assert nesting_depth(code[0][2]) == MAX_NESTING <= MAX_DEPTH
         assert code[0][2] == tetration(OMEGA, Ordinal(MAX_NESTING))
