@@ -162,8 +162,10 @@ _NOT_NAMES = _SUM_OPS | _PROD_OPS | _POW_OPS | frozenset(("(", ")", "[", "]", ",
 # levels stay well inside the default recursion limit of 1,000.
 MAX_NESTING = 200
 
-# the kinds of the frames that _Parser.parse_expr keeps on its stack
-_NEG, _POW, _PAREN, _PAIR = range(4)
+# The frames on _Parser.parse_expr's stack: (_NEG, "-", None, "-", 0) and
+# (_POW, first token, left operand, operator, code mark) for an open unary
+# operand, by token index, and (_PAREN, "(", im, enclosing sum and product).
+_NEG, _POW, _PAREN = range(3)
 
 
 class _Parser:
@@ -179,7 +181,6 @@ class _Parser:
         self.texts = tokens
         self.starts = tokens.starts
         self.pos = 0
-        self.depth = 0
         self.code = []
 
     def const(self, start: int, value) -> tuple:
@@ -217,10 +218,10 @@ class _Parser:
         self.keep(at + 1, y)
         code.append(("op", self.starts[at], self.texts[at]))
 
-    def parse_expr(self):
-        # one sum, read by the loop the module docstring describes
+    def parse_expr(self, base: int = 0):
+        # one sum, ``base`` levels deep, read by the module docstring's loop
         texts, starts, code, pos = self.texts, self.starts, self.code, self.pos
-        base, stack = self.depth, []  # levels open: base + len(stack) + 1
+        stack = []  # levels open: base + len(stack) + 1
         # the sum and the product: first token, value so far, pending
         # operator (-1 for none yet) and where the right operand's code begins
         s_start, sx, s_at, p_start, px, p_at = pos, None, -1, pos, None, -1
@@ -234,10 +235,12 @@ class _Parser:
             text = texts[pos]
             pos += 1
             if text == "-":  # binds looser than the power operators: -w^2 = -(w^2)
-                stack.append((_NEG, start))
+                stack.append((_NEG, start, None, start, 0))
                 continue
             if text == "(":
-                stack.append((_PAREN, start, s_start, sx, s_at, s_mark, p_start, px, p_at, p_mark))
+                # im: where the imaginary part of (re, im) starts, -1 until a ","
+                outer = (s_start, sx, s_at, s_mark, p_start, px, p_at, p_mark)
+                stack.append((_PAREN, start, -1, outer))
                 s_start, sx, s_at, p_start, px, p_at = pos, None, -1, pos, None, -1
                 continue
             if text == "w":
@@ -249,27 +252,27 @@ class _Parser:
                     self.pos = start
                     self.fail(f"number literal is too long ({len(text)} digits)")
             else:
-                self.pos, self.depth = start, base + len(stack) + 1
-                x = self.parse_atom()
+                self.pos = start
+                x = self.parse_atom(base + len(stack) + 1)
                 pos = self.pos
             while True:
                 # the atom or parenthesis that starts at ``start`` has ended
                 op = texts[pos]
                 if op in _POW_OPS:  # right assoc
-                    stack.append((_POW, start, x, pos, len(code), op))
+                    stack.append((_POW, start, x, pos, len(code)))
                     pos += 1
                     break
                 # the unary operand ends, and with it every frame it closes
-                while stack and stack[-1][0] < _PAREN:
-                    f = stack.pop()
-                    if f[0] == _NEG:
-                        self.keep(f[1] + 1, x)
-                        code.append(("neg", starts[f[1]], None))
+                while stack and stack[-1][0] != _PAREN:
+                    kind, b_start, bx, at, mark = stack.pop()
+                    if kind == _NEG:
+                        self.keep(at + 1, x)
+                        code.append(("neg", starts[at], None))
                         x = None
-                    elif f[5] == "^" and f[2] == OMEGA and x is not None:
+                    elif texts[at] == "^" and bx == OMEGA and x is not None:
                         x = _make(((x, 1),))  # w^y, one term
                     else:
-                        self.binary(f[1], f[2], f[4], f[3], x)
+                        self.binary(b_start, bx, mark, at, x)
                         x = None
                 if p_at >= 0:
                     if texts[p_at] == "*" and px is not None and x is not None:
@@ -282,7 +285,6 @@ class _Parser:
                     else:
                         self.binary(p_start, px, p_mark, p_at, x)
                         x = None
-                op = texts[pos]
                 if op in _PROD_OPS:
                     px, p_at, p_mark = x, pos, len(code)
                     pos += 1
@@ -306,26 +308,25 @@ class _Parser:
                 if not stack:
                     self.pos = pos
                     return x
-                f = stack.pop()
-                _, start, s_start, sx, s_at, s_mark, p_start, px, p_at, p_mark = f[:10]
-                if f[0] == _PAREN and op == ",":  # a complex literal (re, im)
+                _, start, im, outer = stack.pop()
+                if op == "," and im < 0:  # a complex literal (re, im)
                     self.keep(start + 1, x)
                     pos += 1
-                    stack.append((_PAIR, *f[1:], pos))
+                    stack.append((_PAREN, start, pos, outer))
                     s_start, sx, s_at, p_start, px, p_at = pos, None, -1, pos, None, -1
                     break
                 if op != ")":
                     self.pos = pos
                     self.expect(")")
                 pos += 1
-                if f[0] == _PAIR:
-                    self.keep(f[10], x)
+                s_start, sx, s_at, s_mark, p_start, px, p_at, p_mark = outer
+                if im >= 0:
+                    self.keep(im, x)
                     code.append(("call", starts[start], ("complex", 2)))
                     x = None
 
-    def parse_atom(self):
-        # a name, its argument lists included, or eps0; self.depth counts
-        # the levels open around it
+    def parse_atom(self, depth: int):
+        # a name with its argument lists, or eps0, that opens level ``depth``
         pos = self.pos
         text = self.texts[pos]
         self.pos = pos + 1
@@ -347,16 +348,16 @@ class _Parser:
             nargs = 0
             if nxt == "[":
                 self.pos += 1
-                self.keep(self.pos, self.parse_expr())
+                self.keep(self.pos, self.parse_expr(depth))
                 self.expect("]")
                 nargs = 1
             self.expect("(")
             if self.texts[self.pos] != ")":
-                self.keep(self.pos, self.parse_expr())
+                self.keep(self.pos, self.parse_expr(depth))
                 nargs += 1
                 while self.texts[self.pos] == ",":
                     self.pos += 1
-                    self.keep(self.pos, self.parse_expr())
+                    self.keep(self.pos, self.parse_expr(depth))
                     nargs += 1
             self.expect(")")
             if text == "H" and nxt == "[":

@@ -288,9 +288,8 @@ _GCD_SIZE = 64
 def _cofactor(g: SurInteger, g1: int, v: int, a: SurInteger, a_max: int, xi: int):
     """a/g from the balanced base-xi digits of v = a(xi)/g(xi), or None:
     accepted by ``si_gcd``'s bound (g1 = |g|_1, a_max = |a|), else by product."""
-    tu = _digits(v, xi)
-    u = _from_ints(tu)
-    top = max([abs(c) for _, c in tu], default=0)
+    u = _from_ints(_digits(v, xi))
+    top = max([abs(c) for _, c in u.terms], default=0)
     return u if g1 * top + a_max < xi or _convolve_terms(g.terms, u.terms) == a.terms else None
 
 

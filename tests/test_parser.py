@@ -367,6 +367,19 @@ class TestNesting:
             f"expression nested too deeply (more than {MAX_NESTING} levels)"
         )
 
+    @pytest.mark.parametrize("form", NESTED)
+    def test_every_argument_has_the_same_allowance(self, form):
+        # "f(" opens one level; the names, calls and eps0 before the last
+        # argument close theirs, so it may still nest MAX_NESTING - 1 deep
+        head = "f(x, eps0, g(x), h[x](y), "
+        parse(head + NESTED[form](MAX_NESTING - 1) + ")")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(head + NESTED[form](MAX_NESTING) + ")")
+
+    def test_a_flat_call_opens_one_level(self):
+        assert len(parse("f(" + ", ".join(["x"] * MAX_NESTING) + ")")) == MAX_NESTING + 1
+        assert len(parse("f(" + ", ".join(["eps0"] * MAX_NESTING) + ")")) == MAX_NESTING + 1
+
     def test_evaluation_costs_no_frames_a_level(self):
         deep = parse(NESTED["parentheses"](MAX_NESTING))
         assert within(20, evaluate, deep) == o("w + 1")
