@@ -23,6 +23,8 @@ the unique g with ``a +. g == b``.
     "call"   (name, nargs)     pop nargs arguments, push the result
     "var"    the name          push its binding
     "eps0"   None              raise: the sentinel has no value
+    "save"   a phrase's head   keep the top as that phrase's value
+    "load"   a phrase's head   push the value kept for that phrase
 
 :func:`run` executes the code in one loop over a value stack, so no depth
 of nesting costs Python frames.  Arithmetic errors are re-raised as
@@ -216,6 +218,7 @@ def run(
     """
     stack = []
     push, pop = stack.append, stack.pop
+    saved = {}  # the values of the repeated phrases, by their heads
     for tag, span, arg in code:
         if tag == "const":
             push(arg)
@@ -241,6 +244,10 @@ def run(
                 if not env or arg not in env:
                     raise Undefined(f"unbound name {arg!r}")
                 push(env[arg])
+            elif tag == "save":
+                saved[arg] = stack[-1]
+            elif tag == "load":
+                push(saved[arg])
             else:
                 raise NotRepresentable("the boundary sentinel has no finite normal form")
         except TransfinitaError as err:

@@ -16,7 +16,7 @@ two are checked against each other by the test suite.
 from __future__ import annotations
 
 from enum import Enum
-from math import log10
+from math import log2, log10
 
 from .errors import DivisionByZero, ResourceExceeded, Undefined
 
@@ -288,11 +288,15 @@ _LOG2_10 = 33219280948873623478703194294893901758648
 
 
 def _at_least_pow10(n: int, d: int) -> bool:
-    """Whether n >= 10**d (n, d >= 0), by bit length where they differ: 10**d
-    has floor(d * log2(10)) + 1 bits.  A tie compares n >> d with 5**d."""
+    """Whether n >= 10**d (n, d >= 0): by bit length where they differ, else
+    by log2 of n's top 64 bits, else (within 10^-9) by n >> d >= 5**d."""
     lo, hi = d * _LOG2_10 // 10**40, d * (_LOG2_10 + 1) // 10**40
     if lo == hi and n.bit_length() != lo + 1:
         return n.bit_length() > lo + 1
+    s = n.bit_length() - 64  # t is within 10^-13 of log2(n / 10^d)
+    t = log2(n >> s) - (d * _LOG2_10 - s * 10**40) / 10**40 if s > 0 else 0
+    if abs(t) > 1e-9:
+        return t > 0
     return n >> d >= 5**d
 
 

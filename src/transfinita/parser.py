@@ -26,6 +26,10 @@ is needed.  Nothing else folds: the ``--oracle`` check reads ``+.`` and
 raise or leave the ordinals, and other powers, ``^^``, ``H`` and calls read
 the evaluation context.
 
+A phrase repeated on a line is read once: a "(" whose text starts with the
+first "(" phrase of 8 or more tokens with its head (the 15 characters after
+it) skips the phrase's tokens, giving its constant value or a load of it.
+
 Grammar (EBNF; the README carries the same table):
 
     expr    = sum ;
@@ -60,7 +64,6 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate
-from operator import itemgetter
 
 from .natural import nat_add, nat_mul
 from .ordinal import OMEGA, _finite, _Frozen, _make, _set
@@ -92,19 +95,16 @@ class ParseError(Exception):
 # first token are skipped by starting the scan past them.  "\s" is what
 # str.isspace, str.lstrip and str.rstrip call blank, newlines included, so
 # the matches tile the rest of the source and their lengths give each
-# token's offset.  Every non-blank character starts a match: a number, a
-# name, an operator, or an unexpected character (the last alternative).
-# "\w" also admits numeric characters such as "²" and "½", so a name's
-# first character is checked with str.isalpha.
-_TOKEN = re.compile(r"(?:\d+|[^\W\d]\w*|\+\.|-\.|\*\.|\^\^|[-+*/^()\[\],]|\S)\s*")
+# token's offset.  Every non-blank character starts a match: a bracket, ","
+# or "/" (tried first, as the commonest), a number, a name, another operator,
+# or an unexpected character.  "\w" also admits numeric characters such as
+# "²" and "½", so a name's first character is checked with str.isalpha.
+_TOKEN = re.compile(r"(?:[()\[\],/]|\d+|[^\W\d]\w*|\+\.|-\.|\*\.|\^\^|[-+*^]|\S)\s*")
 
-# First characters that need no check: ASCII digits and letters, "_", and
-# the operators'.  Any other one is an unexpected character unless it is a
-# decimal digit or a letter.
-_PLAIN_FIRST = frozenset(
-    "0123456789_+-*/^()[],abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-)
-_first = itemgetter(0)
+# What may start an unexpected token: all but blanks, ASCII alnums, "_", operators
+_NOT_PLAIN = re.compile(r"[^\s0-9A-Za-z_+\-*/^()\[\],]")
+# The head of each "(", the 15 characters after it, unless all are "(".
+_HEAD = re.compile(r"\((?!\({15})(?=(.{15}))", re.S)
 
 
 class _Tokens(list):
@@ -122,11 +122,10 @@ def tokenize(source: str) -> list:
     raw = _TOKEN.findall(source, lead)
     tokens = _Tokens(map(str.rstrip, raw))
     tokens.starts = starts = list(accumulate(map(len, raw), initial=lead))
-    odd = set(map(_first, tokens)).difference(_PLAIN_FIRST)
-    if odd:
+    if _NOT_PLAIN.search(source, lead):
         for text, at in zip(tokens, starts):
             c = text[0]
-            if c in odd and not (c.isdecimal() or c.isalpha() or c == "_"):
+            if not (c.isdecimal() or c.isalpha() or c in "_+-*/^()[],"):
                 raise ParseError(Diagnostic(
                     f"unexpected character {c!r}", *_positions(source, (at,))[at]
                 ))
@@ -182,6 +181,27 @@ class _Parser:
         self.starts = tokens.starts
         self.pos = 0
         self.code = []
+        # {head: None, or the first phrase with it} for repeated heads, or None
+        self.phrases = None
+        if source.count("(", 0, len(source) - 15) > 1:  # two "(" have heads
+            heads = _HEAD.findall(source)
+            if len(set(heads)) < len(heads):
+                seen = set()
+                self.phrases = {h: None for h in heads if h in seen or seen.add(h)}
+
+    def repeat(self, start: int, depth: int):
+        # (end, value) if the "(" at ``start`` repeats a phrase that fits at ``depth``
+        at, source = self.starts[start], self.source
+        key = source[at + 1 : at + 16]
+        entry = self.phrases.get(key)
+        if entry is None:
+            return None
+        text, levels, n, x, _ = entry
+        if depth + levels >= MAX_NESTING or not source.startswith(text, at):
+            return None
+        if x is None:
+            self.code.append(("load", at, key))
+        return start + n, x
 
     def const(self, start: int, value) -> tuple:
         # the const instruction of a constant phrase that starts at token
@@ -221,6 +241,7 @@ class _Parser:
     def parse_expr(self, base: int = 0):
         # one sum, ``base`` levels deep, read by the module docstring's loop
         texts, starts, code, pos = self.texts, self.starts, self.code, self.pos
+        source, phrases = self.source, self.phrases
         stack = []  # levels open: base + len(stack) + 1
         # the sum and the product: first token, value so far, pending
         # operator (-1 for none yet) and where the right operand's code begins
@@ -237,13 +258,15 @@ class _Parser:
             if text == "-":  # binds looser than the power operators: -w^2 = -(w^2)
                 stack.append((_NEG, start, None, start, 0))
                 continue
-            if text == "(":
+            if text == "(" and not (phrases and (hit := self.repeat(start, base + len(stack)))):
                 # im: where the imaginary part of (re, im) starts, -1 until a ","
                 outer = (s_start, sx, s_at, s_mark, p_start, px, p_at, p_mark)
                 stack.append((_PAREN, start, -1, outer))
                 s_start, sx, s_at, p_start, px, p_at = pos, None, -1, pos, None, -1
                 continue
-            if text == "w":
+            if text == "(":
+                pos, x = hit
+            elif text == "w":
                 x = OMEGA
             elif text.isdecimal():
                 try:
@@ -324,6 +347,13 @@ class _Parser:
                     self.keep(im, x)
                     code.append(("call", starts[start], ("complex", 2)))
                     x = None
+                if phrases and pos - start >= 8:
+                    head = starts[start] + 1
+                    key = source[head : head + 15]
+                    if phrases.get(key, 0) is None:  # the first phrase with this repeated head
+                        phrase = source[head - 1 : starts[pos - 1] + 1]
+                        last = None if x is not None else code[-1]
+                        phrases[key] = (phrase, sum(map(phrase.count, "(-^[")), pos - start, x, last)
 
     def parse_atom(self, depth: int):
         # a name with its argument lists, or eps0, that opens level ``depth``
@@ -379,6 +409,10 @@ def parse(source: str) -> list:
         p.fail(f"trailing input starting at {text!r}")
     p.keep(0, x)
     code = p.code
+    if p.phrases:  # a save after each loaded phrase's final instruction, last first
+        saves = {(code.index(p.phrases[k][4]), k) for tag, _, k in code if tag == "load"}
+        for i, key in sorted(saves, reverse=True):
+            code.insert(i + 1, ("save", code[i][1], key))
     at = _positions(source, [i[1] for i in code])
     return [(tag, at[i], arg) for tag, i, arg in code]
 

@@ -128,13 +128,20 @@ def _ref_exp_diff(er, eb):
     return _make_ordinal(tuple((e, left[e]) for e in exps))
 
 
-def seconds_in_child(code: str) -> float:
-    """Run ``code`` in a fresh interpreter and return the seconds it took
-    there; a child still running after 30 s fails the test instead of
-    holding up the suite."""
+def output_in_child(code: str) -> str:
+    """Run ``code`` in a fresh interpreter, after ``from transfinita import
+    *``, and return what it printed; a child still running after 30 s fails
+    the test instead of holding up the suite."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = f"import time\nfrom transfinita import *\nt = time.perf_counter()\n{code}\nprint(time.perf_counter() - t)"
+    probe = f"from transfinita import *\n{code}"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30, env=env)
     assert done.returncode == 0, done.stderr
-    return float(done.stdout.split()[-1])
+    return done.stdout
+
+
+def seconds_in_child(code: str) -> float:
+    """Run ``code`` in a fresh interpreter and return the seconds it took
+    there."""
+    probe = f"import time\nt = time.perf_counter()\n{code}\nprint(time.perf_counter() - t)"
+    return float(output_in_child(probe).split()[-1])

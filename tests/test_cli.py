@@ -138,9 +138,25 @@ class TestEval:
         assert code == 0 and out.strip() == "w*3 + 3"
         assert "mismatch" not in err
 
+    def test_oracle_checks_a_repeated_operand(self, capsys):
+        # the right operand is loaded from the left one's save, and the
+        # record is the one its evaluation read twice gave: no warning
+        source = "(w*3 - w + 1 - 1) +. (w*3 - w + 1 - 1)"
+        code, out, _ = run(capsys, "--json", "--oracle", "eval", source)
+        w = {"exp": {"terms": []}, "coeff": "1"}
+        assert code == 0 and json.loads(out) == {
+            "schema": "1",
+            "input": source,
+            "value": {"type": "ordinal", "terms": [{"exp": {"terms": [w]}, "coeff": "4"}]},
+            "canonical": "w*4",
+        }
+
     @pytest.mark.parametrize("source,name,operands", [
         ("(w + 1) +. (w*2 + 3)", "def_rec_add", (SmallOrdinal(1, 1), SmallOrdinal(2, 3))),
         ("(w + 1) *. 3", "def_rec_mul", (SmallOrdinal(1, 1), SmallOrdinal(0, 3))),
+        # the right operand repeats the left one and is loaded, not read again
+        ("(w*3 - w + 1 - 1) +. (w*3 - w + 1 - 1)", "def_rec_add",
+         (SmallOrdinal(2, 0), SmallOrdinal(2, 0))),
     ])
     def test_oracle_mismatch_is_a_warning(self, monkeypatch, capsys, source, name, operands):
         seen = []

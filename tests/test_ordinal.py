@@ -34,6 +34,7 @@ from transfinita import (
 from transfinita.errors import ResourceExceeded
 from transfinita.hyper import EvalContext, tetration
 from transfinita.ordinal import (
+    _at_least_pow10,
     _binary_pow,
     _check_pow_digits,
     _dec_exp,
@@ -396,6 +397,32 @@ class TestDigitBudget:
             assert refused is not None and refused.startswith(
                 f"finite power needs a number with more than 10^{k} digits, "
             )
+
+    @pytest.mark.parametrize("d", [1, 19, 20, 64, 1000, 65_536, 200_003])
+    def test_powers_of_ten_and_their_neighbours(self, d):
+        # 10^d - 1, 10^d and 10^d + 1 share 10^d's bit length and its
+        # leading 64 bits, so 5^d decides them
+        p = 10**d
+        assert [_at_least_pow10(n, d) for n in (p - 1, p, p + 1)] == [False, True, True]
+
+    @pytest.mark.parametrize("k", [10, 321, 40_000])
+    def test_band_edges_next_to_a_power_of_ten(self, k):
+        # (10^k - 1)^2 has 2k digits and (10^k + 1)^2 has 2k + 1: against a
+        # budget of 2k both are in the band, and within 10^-9 of 10^(2k) in
+        # log2
+        assert _check_pow_digits(10**k - 1, 2, 2 * k) == (10**k - 1) ** 2
+        assert _refusal(10**k + 1, 2, 2 * k) is not None
+        assert _refusal(10**k - 1, 2, 2 * k - 1) is not None
+        assert _check_pow_digits(10**k + 1, 2, 2 * k + 1) in (None, (10**k + 1) ** 2)
+
+    @given(st.integers(0, 5000), st.integers(-5, 5), st.integers(-(10**20), 10**20))
+    def test_at_least_pow10_against_the_power(self, d, near, far):
+        # next to 10^d, and up to 2^-3 of it away, where the leading bits
+        # decide
+        p = 10**d
+        for n in (p + near, p + far * (p >> 70)):
+            if n >= 0:
+                assert _at_least_pow10(n, d) == (n >= p)
 
     def test_band_between_the_bounds_is_decided_exactly(self):
         # 1653915 * log10(3) lies 3.3e-7 below 789118, and 2319052 * log10(3)

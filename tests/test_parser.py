@@ -37,7 +37,7 @@ from transfinita.surinteger import _make as _make_si, si_mul
 from transfinita.surrational import Q_ZERO, SurRational
 
 import reference_tree
-from conftest import o, ordinals, q, si
+from conftest import o, ordinals, output_in_child, q, seconds_in_child, si
 from random_values import random_gaussian, random_ordinal, random_surinteger, random_surrational
 
 
@@ -356,6 +356,17 @@ NESTED = {
 LOOPED = ("parentheses", "complex", "minus", "powers")
 
 
+# Wrappers that put a phrase under k openers of each kind, so that the "("
+# that starts it is read k levels deep.
+REPEATED_UNDER = {
+    "parentheses": lambda k, p: "(" * k + p + ")" * k,
+    "arguments": lambda k, p: "classify(" * k + p + ")" * k,
+    "brackets": lambda k, p: "sqrt[" * k + p + "](2)" * k,
+    "minus": lambda k, p: "-" * k + p,
+    "powers": lambda k, p: "2^" * k + p,
+}
+
+
 class TestNesting:
     @pytest.mark.parametrize("form", NESTED)
     def test_limit_costs_no_frames_but_two_an_argument_list(self, form):
@@ -375,6 +386,25 @@ class TestNesting:
         parse(head + NESTED[form](MAX_NESTING - 1) + ")")
         with pytest.raises(ParseError, match="nested too deeply"):
             parse(head + NESTED[form](MAX_NESTING) + ")")
+
+    @pytest.mark.parametrize("form", REPEATED_UNDER)
+    def test_a_repeat_keeps_the_nesting_limit(self, form):
+        # a phrase first read one level deep and repeated under k openers:
+        # at k = MAX_NESTING - 1 the repeat is refused at the token after its
+        # "(", with the diagnostic of the same line whose first phrase
+        # differs; one level shallower it parses, read from the table
+        phrase, other = "(x + x + x + x + x)", "(y + y + y + y + y)"
+        k = MAX_NESTING - 1
+        line = f"{phrase} + {REPEATED_UNDER[form](k, phrase)}"
+        with pytest.raises(ParseError) as err:
+            parse(line)
+        with pytest.raises(ParseError) as plain:
+            parse(line.replace(phrase, other, 1))
+        assert err.value.diagnostic == plain.value.diagnostic
+        assert (err.value.diagnostic.line, err.value.diagnostic.col) == (1, line.rindex(phrase) + 2)
+        assert "nested too deeply" in err.value.diagnostic.message
+        code = parse(f"{phrase} + {REPEATED_UNDER[form](k - 1, phrase)}")
+        assert [tag for tag, _, _ in code].count("load") == 1
 
     def test_a_flat_call_opens_one_level(self):
         assert len(parse("f(" + ", ".join(["x"] * MAX_NESTING) + ")")) == MAX_NESTING + 1
@@ -482,6 +512,118 @@ class TestPostfixAgainstTree:
             reference_tree.parse, reference_tree.evaluate, source
         )
 
+
+# Lines that write one parenthesised phrase more than once, as the cut lines
+# write x^n as x * x * ... * x.  Each phrase is 16 characters or more and 8
+# tokens or more, so the parser's phrase table keeps its first copy; the
+# phrase is constant, not constant, a complex literal, or raises.
+_PHRASES = st.one_of(
+    _NORMAL_FORM.map(lambda s: f"({s} + 1 + 2 + 3)"),
+    _LINES.map(lambda s: f"(({s}) + x + 0 + 0)"),
+    _LINES.map(lambda s: f"(({s}) * 2 + 1 + 1)"),
+    st.tuples(_LINES, _LINES).map(lambda ab: f"(({ab[0]}), {ab[1]} + 1 + 2 + 3)"),
+    st.sampled_from(["(1 / 0 + x + 1 + 1)", "(x -. 1 + 2 + 3 + 4)", "(eps0 + 1 + 2 + 3)"]),
+)
+_REPEATS = st.builds(
+    str.format,
+    st.sampled_from([
+        "{p} + {p}",
+        "{p} -. ({p} +. {q})",
+        "({p} + {p}) * ({p} + {p})",  # a phrase whose own code loads, repeated
+        "member(sqrt[2]({p} * {p}), {p} + ({q}))",
+        "frob({p}, {q}, {p})",
+        "complex({p}, {p})",
+        "sqrt[{p}]({p})",
+        "({p}, {p})",
+        "-{p} * -({p})",
+        "({q}) ^ {p} ^ -{p}",
+        "w ^ {p} + {p}",
+    ]),
+    p=_PHRASES,
+    q=_LINES,
+)
+_CUT_LINE = (
+    "member(sqrt[2](((w^2*9 + 6) / (w*3 - 1)) * ((w^2*9 + 6) / (w*3 - 1))), "
+    "((w^2*9 + 6) / (w*3 - 1)) + (((w^2*9 + 6) / (w*3 - 1)) / (w + 2)))"
+)
+
+
+def _loads_after_saves(code) -> int:
+    """The number of loads in ``code``, each checked to follow a save of its
+    phrase."""
+    saved, loads = set(), 0
+    for tag, _, arg in code:
+        if tag == "save":
+            saved.add(arg)
+        elif tag == "load":
+            assert arg in saved
+            loads += 1
+    return loads
+
+
+class TestRepeatedPhrases:
+    @settings(max_examples=300)
+    @given(_REPEATS)
+    @example("(w*3 - w + 1 - 1) +. (w*3 - w + 1 - 1)")
+    @example("(w^9*4 + w^4 + 3) -. ((w^9*4 + w^4 + 3) +. (w^8*7 + 1))")
+    @example("(1 / 0 + x + 1 + 1) * (1 / 0 + x + 1 + 1)")  # the first copy raises
+    @example(_CUT_LINE)
+    @example("frob((x + x + x + x + x), (x + x + x + x + x))")
+    @example("sqrt[(w + 1 + 1 + 1 + 1)]((w + 1 + 1 + 1 + 1))")
+    @example("((x, 1 + 2 + 3 + 4)) * ((x, 1 + 2 + 3 + 4))")
+    @example("-(x + x + x + x + x) * -(x + x + x + x + x)")
+    @example("2 ^ (w + 1 + 1 + 1 + 1) ^ -(w + 1 + 1 + 1 + 1)")
+    def test_same_value_or_error_as_the_tree(self, source):
+        assert _outcome(parse, evaluate, source) == _outcome(
+            reference_tree.parse, reference_tree.evaluate, source
+        )
+
+    @given(_REPEATS)
+    def test_every_load_reads_an_earlier_save(self, source):
+        _loads_after_saves(parse(source))
+
+    def test_a_repeat_is_read_once(self):
+        # a phrase that does not fold is saved after its first copy and
+        # loaded for each repeat; a constant one is the same value object
+        code = parse("(w*3 - w + 1 - 1) +. (w*3 - w + 1 - 1)")
+        assert [tag for tag, _, _ in code][-4:] == ["op", "save", "load", "op"]
+        assert _loads_after_saves(code) == 1
+        assert _loads_after_saves(parse(_CUT_LINE)) == 3
+        code = parse("(w^9*4 + w^4 + 3) -. ((w^9*4 + w^4 + 3) +. w)")
+        assert [tag for tag, _, _ in code] == ["const", "const", "const", "op", "op"]
+        assert code[0][2] is code[1][2]
+
+    def test_no_phrase_outlives_its_line(self):
+        # the phrase of the line before is not read: the second line's
+        # first copy is read in full, its code is what a fresh interpreter
+        # makes of it, and the modules' tables are as they were
+        def tables():
+            return {
+                name: repr(value)
+                for module in (tower, sys.modules["transfinita.parser"])
+                for name, value in vars(module).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        first = "(w*3 - w + 1 - x) + (w*3 - w + 1 - x)"
+        second = "2 * (w*3 - w + 1 - x) - (w*3 - w + 1 - x)"
+        before = tables()
+        assert _loads_after_saves(parse(first)) == 1
+        evaluate(parse(first), {"x": Ordinal(1)})
+        code = parse(second)
+        assert _loads_after_saves(code) == 1
+        assert output_in_child(f"print(repr(parse({second!r})))").strip() == repr(code)
+        assert tables() == before
+
+    def test_shared_heads_and_deep_repeats_cost_linear_time(self):
+        # 4,500 distinct phrases with one head (110,000 characters) are each
+        # compared with the first one only, and each level of a phrase
+        # nested 190 deep is compared once.  Read without a phrase table,
+        # they parse in about 0.09 s and 0.6 ms on one Intel Xeon core.
+        shared = 'parse(" + ".join(f"(x + x + x + x + {i})" for i in range(4500)))'
+        assert seconds_in_child(shared) < 0.3
+        deep = 'deep = "(" * 190 + "x + 1" + ")" * 190\nparse(deep + " + " + deep)'
+        assert seconds_in_child(deep) < 0.01
 
 
 def _seeded(gen):
