@@ -1,11 +1,17 @@
 """Decidable cut predicates over a truncated surrational field, plus the
 Gaussian (complex) extension of the field.
 
-A cut specification names a left set inside the field truncated at some
-multiplication-closed ordinal: either all elements below a given surrational
-or all elements whose n-th power stays below a positive surrational.
-Membership is a single exact surinteger inequality, so it is decidable even
-though the cut itself is an infinite set.
+A cut specification names a set inside the field truncated at some
+multiplication-closed ordinal.  A rational cut is the left set of all
+elements below a given surrational q.  A root cut is the set of all x with
+x^n < q for a positive q: for odd n the left set below q's n-th root, but
+for even n the interval between its two roots, so ``member(sqrt[2](2), -1)``
+is true and ``member(sqrt[2](2), -5)`` false.  Membership is decidable
+though the set is infinite: for x = a/b and q = c/d it is the sign of the
+polynomial a^n*d - c*b^n, read off its value at one integer large enough
+that the value has the sign of the leading coefficient
+(``surrational._pow_compare``, which proves the bound).  Only where the
+input rules that out is the polynomial multiplied out in the ring.
 
 Root cuts classify as surrational (an exact n-th root exists, returned as a
 witness) or irrational.  The decision is structural, on the radicand as
@@ -25,17 +31,17 @@ from math import isqrt
 
 from .errors import DivisionByZero, OutOfField, Undefined
 from .natural import _convolve_terms, _exp_root
-from .ordinal import DEFAULT_MAX_DIGITS, LT, Ordinal, _check_pow_digits, _Frozen, _set
+from .ordinal import DEFAULT_MAX_DIGITS, EQ, LT, Ordinal, _check_pow_digits, _Frozen, _set
 from .surinteger import (
     SurInteger,
     _make as _make_si,
     _shared,
     check_lambda,
-    si_pow,
 )
 from .surrational import (
     Q_ZERO,
     SurRational,
+    _pow_compare,
     in_lambda_field,
     q_add,
     q_compare,
@@ -59,7 +65,7 @@ class RationalCut(_Frozen):
 
 
 class RootCut(_Frozen):
-    """Left set of every field element whose n-th power is below ``q > 0``."""
+    """Set of every field element whose n-th power is below ``q > 0``."""
 
     __slots__ = ("q", "n", "lam")
 
@@ -81,7 +87,7 @@ def check_root(q: SurRational, n: int) -> None:
 
 
 def cut_member(cut, p: SurRational, max_digits: int = DEFAULT_MAX_DIGITS) -> bool:
-    """Exact membership of ``p`` in the cut's left set.
+    """Exact membership of ``p`` in the cut's set.
 
     Raises OutOfField when ``p`` is outside the ambient truncated field, and
     ResourceExceeded when a root cut's n-th powers may pass ``max_digits``.
@@ -93,7 +99,7 @@ def cut_member(cut, p: SurRational, max_digits: int = DEFAULT_MAX_DIGITS) -> boo
     # every coefficient of x^n is at most (sum of |coefficients of x|)^n
     for x in (p.num, p.den):
         _check_pow_digits(sum(abs(c) for _, c in x.terms), cut.n, max_digits)
-    return q_compare(_q_pow(p, cut.n), cut.q) == LT
+    return _pow_compare(p, cut.q, cut.n, max_digits) == LT
 
 
 class RootClassification(_Frozen):
@@ -160,12 +166,8 @@ def classify_root_cut(cut: RootCut) -> RootClassification:
     if rn is None or rd is None:
         return RootClassification("irrational")
     witness = SurRational(rn, rd)
-    assert q_eq(_q_pow(witness, n), cut.q)
+    assert _pow_compare(witness, cut.q, n) == EQ
     return RootClassification("surrational", witness)
-
-
-def _q_pow(p: SurRational, n: int) -> SurRational:
-    return SurRational(si_pow(p.num, n), si_pow(p.den, n))
 
 
 class GaussianSurRational(_Frozen):

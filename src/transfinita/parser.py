@@ -101,8 +101,9 @@ class ParseError(Exception):
 # "²" and "½", so a name's first character is checked with str.isalpha.
 _TOKEN = re.compile(r"(?:[()\[\],/]|\d+|[^\W\d]\w*|\+\.|-\.|\*\.|\^\^|[-+*^]|\S)\s*")
 
-# What may start an unexpected token: all but blanks, ASCII alnums, "_", operators
-_NOT_PLAIN = re.compile(r"[^\s0-9A-Za-z_+\-*/^()\[\],]")
+# What may start an unexpected token: all but blanks, ASCII alnums, "_", the
+# operators and the "." that ends "+.", "-." or "*."
+_NOT_PLAIN = re.compile(r"[^\s0-9A-Za-z_+\-*/^()\[\],](?<![-+*]\.)")
 # The head of each "(", the 15 characters after it, unless all are "(".
 _HEAD = re.compile(r"\((?!\({15})(?=(.{15}))", re.S)
 

@@ -1,17 +1,18 @@
 """The ordered field of surinteger fractions ("surrationals").
 
 A surrational is a numerator/denominator pair with strictly positive
-denominator.  Equality and order never need a canonical form: both are
-settled by cross-multiplication in the surinteger ring, which is exact and
-total.  The ring is Z[x_z], polynomials in one variable x_z = w^(w^z) per
-exponent z, so gcds exist.  :func:`q_add` adds by Henrici's method over
-``surinteger.si_gcd``, so a sum of two fractions in lowest terms is in
-lowest terms again whenever ``si_gcd`` is exact, which it is for
-polynomials in w short of sparse ones of high degree.  Products and
-quotients divide out only their shared integer content and monomial
-(``surinteger._shared``), so equal values can print different text.
-Exponents are monomials in the x_z, and their gcd and quotient are
-``natural._exp_min`` and ``_exp_diff``.
+denominator.  Equality and order never need a canonical form: both are the
+sign of a*d - c*b for a/b against c/d, which :func:`_pow_compare` reads off
+that polynomial's value at one integer, or else from the cross products in
+the surinteger ring; either way exact and total.  The ring is Z[x_z],
+polynomials in one variable x_z = w^(w^z) per exponent z, so gcds exist.
+:func:`q_add` adds by Henrici's method over ``surinteger.si_gcd``, so a
+sum of two fractions in lowest terms is in lowest terms again whenever
+``si_gcd`` is exact, which it is for polynomials in w short of sparse
+ones of high degree.  Products and quotients divide out only their
+shared integer content and monomial (``surinteger._shared``), so equal
+values can print different text.  Exponents are monomials in the x_z, and
+their gcd and quotient are ``natural._exp_min`` and ``_exp_diff``.
 
 The field truncated at omega is the ordinary rationals and is the only
 Archimedean stage of the tower: :func:`archimedean_witness` finds the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from .errors import NO_WITNESS, NOT_DIVISIBLE, DivisionByZero, Undefined
 from .natural import _exp_diff, _int_terms
-from .ordinal import LT, Ordinal, _encode_terms, _Frozen
+from .ordinal import DEFAULT_MAX_DIGITS, EQ, LT, Ordinal, _encode_terms, _Frozen
 from .surinteger import (
     S_ONE,
     S_ZERO,
@@ -38,6 +39,7 @@ from .surinteger import (
     si_compare,
     si_gcd,
     si_mul,
+    si_pow,
     si_sub,
 )
 
@@ -91,13 +93,48 @@ Q_HALF = SurRational(1, 2)
 
 
 def q_eq(p: SurRational, q: SurRational) -> bool:
-    """Value equality by cross-multiplication; no reduction involved."""
-    return si_mul(p.num, q.den) == si_mul(q.num, p.den)
+    """Value equality: the order's EQ, so no reduction is involved."""
+    return _pow_compare(p, q, 1) == EQ
 
 
 def q_compare(p: SurRational, q: SurRational) -> int:
-    """Total order via the cross products (denominators are positive)."""
-    return si_compare(si_mul(p.num, q.den), si_mul(q.num, p.den))
+    """Total order: the sign of p - q, decided as :func:`_pow_compare`
+    decides it for n = 1 under ``DEFAULT_MAX_DIGITS``."""
+    return _pow_compare(p, q, 1)
+
+
+def _pow_compare(p: SurRational, q: SurRational, n: int, max_digits=DEFAULT_MAX_DIGITS) -> int:
+    """The sign of p^n - q (n >= 1), for p = a/b and q = c/d: that of
+    P = a^n*d - c*b^n, as b and d lead positive.  The caller keeps
+    |a|_1^n and |b|_1^n affordable (``cut_member`` checks them first).
+
+    When all four are nonzero polynomials in w, P goes through its value at
+    the integer xi = 2*B + 2, B = |c|*|b|_1^n + |d|*|a|_1^n (|.| the largest
+    coefficient, |.|_1 the sum of the |coefficients|).  B bounds every
+    coefficient of P, as |f*g| <= |f|*|g|_1 and |a^n|_1 <= |a|_1^n.  A
+    nonzero P with leading coefficient p_m at w^m then has the sign of p_m
+    at xi: its lower terms are worth at most B*(xi^m - 1)/(xi - 1) < xi^m/2
+    there, less than |p_m|*xi^m.  So P(xi) is 0 only for P = 0, and its sign
+    is P's, as in ``si_gcd``'s bound.  Where the input rules that out (a
+    transfinite exponent, a zero side, or values at xi of more bits than
+    3 * max_digits, a little under max_digits decimal digits), P is
+    cross-multiplied in the ring."""
+    ta = _int_terms(p.num.terms)
+    tb = ta and _int_terms(p.den.terms)
+    tc = tb and _int_terms(q.num.terms)
+    td = tc and _int_terms(q.den.terms)
+    if td:
+        a1, b1 = sum([abs(c) for _, c in ta]), sum([abs(c) for _, c in tb])
+        c_max, d_max = max([abs(c) for _, c in tc]), max([abs(c) for _, c in td])
+        xi = 2 * (c_max * b1**n + d_max * a1**n) + 2
+        # xi^(degree + 1) bounds the values, up to the few bits of |.|_1
+        degree = max(n * ta[0][0] + td[0][0], tc[0][0] + n * tb[0][0])
+        if (degree + 1) * xi.bit_length() <= 3 * max_digits:
+            v = _value_at(ta, xi) ** n * _value_at(td, xi)
+            v -= _value_at(tc, xi) * _value_at(tb, xi) ** n
+            return (v > 0) - (v < 0)
+    a, b = (p.num, p.den) if n == 1 else (si_pow(p.num, n), si_pow(p.den, n))
+    return si_compare(si_mul(a, q.den), si_mul(q.num, b))
 
 
 def q_add(p: SurRational, q: SurRational) -> SurRational:

@@ -35,13 +35,25 @@ from transfinita import (
     q_eq,
     q_mul,
 )
-from transfinita.cuts import _int_nth_root, _q_pow, check_root
+import transfinita.surrational as surrational
+from transfinita.cuts import _int_nth_root, check_root
 from transfinita.natural import _exp_root
-from transfinita.surinteger import S_ONE, S_ZERO, SurInteger, _make as _make_si, si_add, si_mul
+from transfinita.surinteger import (
+    S_ONE,
+    S_ZERO,
+    SurInteger,
+    _from_ints,
+    _make as _make_si,
+    si_add,
+    si_compare,
+    si_mul,
+    si_pow,
+)
 from transfinita.surrational import (
     Q_ZERO,
     SurRational,
     _light_reduce,
+    _pow_compare,
     exact_divide,
     midpoint,
 )
@@ -56,6 +68,41 @@ def _monomials():
     # a positive monomial w^e*c whose coefficient is often a perfect power
     coeff = st.builds(pow, st.integers(1, 12), st.integers(1, 5))
     return st.builds(lambda e, c: _make_si(((e, c),)), ordinals(depth=2, max_coeff=10), coeff)
+
+
+def _q_pow(p: SurRational, n: int) -> SurRational:
+    return SurRational(si_pow(p.num, n), si_pow(p.den, n))
+
+
+def _cross_compare(p: SurRational, q: SurRational, n: int) -> int:
+    """Reference: the sign of p^n - q from the ring products a^n*d and
+    c*b^n, multiplied out term by term."""
+    return si_compare(si_mul(si_pow(p.num, n), q.den), si_mul(q.num, si_pow(p.den, n)))
+
+
+def _poly_in_w(max_deg: int = 4, max_coeff: int = 30):
+    # a nonzero polynomial in w with signed coefficients
+    coeff = st.integers(-max_coeff, max_coeff).filter(bool)
+    terms = st.dictionaries(st.integers(0, max_deg), coeff, min_size=1, max_size=max_deg + 1)
+    return terms.map(lambda d: _from_ints(sorted(d.items(), reverse=True)))
+
+
+def _fractions_in_w(max_deg: int = 4, max_coeff: int = 30):
+    return st.builds(SurRational, _poly_in_w(max_deg, max_coeff), _poly_in_w(max_deg, max_coeff))
+
+
+def _decided_in_the_ring(monkeypatch, p, q, n, max_digits=10**6) -> tuple:
+    """(sign, whether the ring products ran) of ``_pow_compare``."""
+    calls = []
+
+    def counted_compare(a, b):
+        calls.append((a, b))
+        return si_compare(a, b)
+
+    monkeypatch.setattr(surrational, "si_compare", counted_compare)
+    sign = _pow_compare(p, q, n, max_digits)
+    monkeypatch.undo()
+    return sign, bool(calls)
 
 
 def rational_cut_bump(cut: RationalCut, p: SurRational) -> SurRational:
@@ -145,6 +192,82 @@ class TestCutMembership:
         above = rational_cut_bump(cut, p)
         assert cut_member(cut, above)
         assert q_compare(p, above) == LT
+
+
+K = 10**12 + 39  # a coefficient far past the degree of any w below
+
+
+class TestPowerCompareKernel:
+    """``surrational._pow_compare`` against the cross-multiplied ring
+    comparison it replaces, and the inputs that still take the latter."""
+
+    @given(_fractions_in_w(), _fractions_in_w(), st.integers(1, 5), st.integers(0, 2), _poly_in_w(2, 3))
+    def test_agrees_with_cross_multiplication(self, p, r, n, shape, delta):
+        # q is free, p^n itself, or p^n moved by a small polynomial
+        pn = _q_pow(p, n)
+        q = (r, pn, SurRational(si_add(pn.num, delta), pn.den))[shape]
+        assert _pow_compare(p, q, n) == _cross_compare(p, q, n)
+
+    @given(st.integers(1, 10**40), st.integers(1, 10**40), st.integers(1, 5), st.integers(0, 3))
+    @example(K, K, 1, 0)  # p^n - q = 2K - w: 0 at xi = B = 2K
+    @example(5, 1, 3, 1)  # p^n - q = 125 - w: positive at xi = 2|c|*|b|_1^n + 2
+    @example(K, K, 2, 2)
+    @example(K, 7, 4, 3)
+    def test_near_cancelling_pairs(self, k, j, n, shape):
+        # the sign sits in one leading coefficient against large lower ones
+        w = si("w")
+        p, q = (
+            (SurRational(k), SurRational(si_add(w, SurInteger(-j)))),
+            (SurRational(k), SurRational(w)),
+            (SurRational(si_add(w, SurInteger(-k))), SurRational(si_add(si_pow(w, n), SurInteger(j)))),
+            (SurRational(si_add(w, SurInteger(-k)), SurInteger(j)), SurRational(si_pow(w, n), SurInteger(j**n))),
+        )[shape]
+        assert _pow_compare(p, q, n) == _cross_compare(p, q, n)
+        assert _pow_compare(p, q, n) == LT  # p^n - q is negative in every shape
+
+    def test_polynomials_in_w_are_decided_by_value(self, monkeypatch):
+        p, r = q("(w*3 - 5)/(w + 2)"), q("(w^2 - 1)/7")
+        for n in range(1, 6):
+            sign, in_ring = _decided_in_the_ring(monkeypatch, p, r, n)
+            assert not in_ring and sign == _cross_compare(p, r, n)
+
+    def test_a_transfinite_exponent_is_multiplied_out(self, monkeypatch):
+        p, r = q("(w^w + 1)/w"), q("w^(w)*2 / (w + 1)")
+        for n in (1, 3):
+            sign, in_ring = _decided_in_the_ring(monkeypatch, p, r, n)
+            assert in_ring and sign == _cross_compare(p, r, n)
+            sign, in_ring = _decided_in_the_ring(monkeypatch, r, p, n)
+            assert in_ring and sign == _cross_compare(r, p, n)
+
+    def test_a_zero_side_is_multiplied_out(self, monkeypatch):
+        for p, r in ((Q_ZERO, q("w - 3")), (q("3 - w"), Q_ZERO), (Q_ZERO, Q_ZERO)):
+            sign, in_ring = _decided_in_the_ring(monkeypatch, p, r, 2)
+            assert in_ring and sign == _cross_compare(p, r, 2)
+
+    def test_a_value_past_the_budget_is_multiplied_out(self, monkeypatch):
+        # xi is 12 here, so the values have about 4 * 10^9 bits
+        p, r = q("w^500000000 + 1"), q("w^1000000000")
+        sign, in_ring = _decided_in_the_ring(monkeypatch, p, r, 2)
+        assert in_ring and sign == _cross_compare(p, r, 2) == GT
+        # the same pair of degree 2 is evaluated, but not under a budget of 1 digit
+        p, r = q("w + 1"), q("w^2")
+        assert _decided_in_the_ring(monkeypatch, p, r, 2) == (GT, False)
+        assert _decided_in_the_ring(monkeypatch, p, r, 2, 1) == (GT, True)
+
+    def test_the_budgeted_power_of_w_goes_by_the_ring(self, monkeypatch):
+        # a degree of 10^8 is past a budget of 10 digits whatever xi is
+        assert _decided_in_the_ring(monkeypatch, q("w/1"), q("w/1"), 10**8, 10) == (GT, True)
+
+    def test_a_sparse_root_cut_answers_at_once(self):
+        code = (
+            "assert evaluate(parse('member(sqrt[2](w^1000000000), w^500000000 + 1)')) is False"
+        )
+        assert seconds_in_child(code) < 1
+
+    def test_odd_root_cuts_are_left_sets(self):
+        # an even root cut is not: criterion 10 of the acceptance suite has
+        # -1 inside sqrt[2](2) and -5 outside
+        assert cut_member(RootCut(SurRational(2), 3, OMEGA), SurRational(-5))
 
 
 class TestRootClassification:

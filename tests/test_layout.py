@@ -14,9 +14,10 @@ it.
 ``expr`` moves values along the numeric tower through its tables, never by
 an ``isinstance`` test on a tower type.  Only ``natural`` reads an exponent
 as a monomial: it alone defines the ``_exp_*`` operations, and neither
-``surrational`` nor ``cuts`` builds an ordinal itself.  Value classes are
-immutable through ``ordinal._Frozen``, and none refuses assignment with
-methods of its own.
+``surrational`` nor ``cuts`` builds an ordinal itself.  Cut membership
+multiplies out no power, and ``surinteger`` alone evaluates a polynomial
+at an integer.  Value classes are immutable through ``ordinal._Frozen``,
+and none refuses assignment with methods of its own.
 """
 
 import ast
@@ -137,6 +138,28 @@ def test_parser_imports_only_ordinal_and_natural():
             reached |= {a.name for a in node.names if a.name.startswith("transfinita")}
     assert reached <= {"ordinal", "natural"}
     assert not {n for n in names if n.startswith("rec_")}
+
+
+def _calls(tree: ast.AST, function: str) -> set:
+    """Names that the module-level function ``function`` calls."""
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+
+def test_cut_membership_multiplies_out_no_power():
+    # membership goes through surrational's kernel, which evaluates both
+    # sides at one integer, through the one integer evaluation in the
+    # package, which the heuristic gcd uses too
+    assert not _calls(_parse(SRC / "cuts.py"), "cut_member") & {"si_mul", "si_pow", "_q_pow"}
+    defined = {
+        path.stem
+        for path in SRC.glob("*.py")
+        for n in ast.walk(_parse(path))
+        if isinstance(n, ast.FunctionDef) and n.name == "_value_at"
+    }
+    assert defined == {"surinteger"}
+    assert "_value_at" in _calls(_parse(SRC / "surinteger.py"), "si_gcd")
+    assert "_value_at" in _calls(_parse(SRC / "surrational.py"), "_pow_compare")
 
 
 def test_parser_reads_sums_products_and_unaries_in_one_loop():

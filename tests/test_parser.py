@@ -200,6 +200,17 @@ class TestDiagnostics:
         assert ev("٣+1") == Ordinal(4)  # other decimal scripts still count
         assert parse("x²") == [("var", (1, 1), "x²")]
 
+    @pytest.mark.parametrize(
+        "source, col",
+        [("3.5", 2), ("w . 2", 3), ("w +.. 1", 5), ("w^.2", 3), (".w", 1), ("(w+1) *.. 2", 9), ("w\n.2", 1)],
+    )
+    def test_a_stray_dot_is_unexpected(self, source, col):
+        # only the "." of "+.", "-." and "*." is part of a token
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        d = err.value.diagnostic
+        assert (d.message, d.line, d.col) == ("unexpected character '.'", source.count("\n") + 1, col)
+
 
 def _kind(text):
     if not text:
